@@ -8,8 +8,10 @@ build:
 test: build
 	dune runtest
 
-# Full gate: build + unit/property/differential tests (four POSIX-suite
-# passes: default, striped, log-ring, range) + a quick smoke run of the
+# Full gate: build + unit/property/differential tests (five POSIX-suite
+# passes: default, striped, log-ring, range, and the benchmark's secure
+# full-feature configuration) + the benchmark's own tests (its remount
+# and durability replay) + a quick smoke run of the
 # region data-path microbenchmark (writes BENCH_region.json), the
 # bounded crash-image explorer / media-fault / checker experiment
 # (including the log-ring rename machines and the crash-during-recovery
@@ -23,6 +25,7 @@ test: build
 # race-detection and offline-fsck self-checks (both of which now also
 # gate parallel recovery) and the published-figure digest gate.
 check: test races fsck figs-gate
+	dune build @simbench/test/bench-test
 	dune exec bench/main.exe -- --scale 0.05 region crash scale data recovery numa secure
 
 # Data-path scaling: whole-file lock vs byte-range locking on one shared

@@ -6,7 +6,8 @@
     + {b explore}: crash-image exploration of the four Fig. 5 state
       machines (create / unlink / same-dir rename / cross-dir rename),
       each mutating machine also in the scaled configuration (striped
-      locks + resolve cache + allocator caches — volatile-only, so
+      locks + resolve cache + allocator caches — recorded in the
+      superblock, but no directory, inode or data object changes, so
       every image must recover identically).
       At every NVMM store and every labeled persist point the eviction
       adversary enumerates subsets of the unpersisted cache lines
@@ -88,7 +89,7 @@ let ops =
   ]
 
 (* The two rename state machines again on log-ring media (per-directory
-   ring of rename-log slots, scaled mount): a crash may now leave any
+   ring of rename-log slots, scaled format): a crash may now leave any
    slot of the ring pending, and every image must still recover to an
    empty ring. *)
 let ring_ops =

@@ -28,7 +28,7 @@ let targets_for bench =
   match bench with
   | Fxmark.Overwrite_shared ->
       (* include the relaxed variant the paper plots in Fig. 7k *)
-      Targets.all () @ [ Targets.simurgh ~relaxed_writes:true () ]
+      Targets.all () @ [ Targets.simurgh ~config:Relaxed () ]
   | Fxmark.Write_private ->
       (* the paper could not run SplitFS on this benchmark *)
       List.filter (fun t -> t.Targets.name <> "SplitFS") (Targets.all ())

@@ -22,6 +22,7 @@
 
 open Simurgh_fs_common
 open Simurgh_sim
+module Fs = Simurgh_core.Fs
 module Shard = Simurgh_core.Shard
 module Name_hash = Simurgh_core.Name_hash
 module Report = Simurgh_obs.Report
@@ -50,7 +51,10 @@ let run_bw ~regions ~ops =
   let machine = Machine.create () in
   let sh =
     Shard.mkfs ~machine ~prefix:(Printf.sprintf "r%d/region" regions)
-      ~regions ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
+      ~regions
+      ~format:(fun ~shard r ->
+        Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
+          ~shard r)
       (64 * 1024 * 1024)
   in
   let dirs =
@@ -86,7 +90,9 @@ let run_latency ~home_socket ~ops =
   let label = if home_socket = socket_of 1 then "local" else "remote" in
   let sh =
     Shard.mkfs ~machine ~prefix:(Printf.sprintf "lat-%s/region" label)
-      ~regions:2 ~euid:0 (32 * 1024 * 1024)
+      ~regions:2
+      ~format:(fun ~shard r -> Fs.mkfs ~euid:0 ~shard r)
+      (32 * 1024 * 1024)
   in
   let d = "/" ^ dir_for ~regions:2 1 in
   Shard.mkdir sh d;

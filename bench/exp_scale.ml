@@ -76,7 +76,7 @@ let sweep_ring bench ~ops =
     List.map
       (fun threads ->
         let region_mb = region_mb_for ~threads ~ops in
-        let fs = Targets.fresh_simurgh_ring ~region_mb () in
+        let fs = Targets.fresh_simurgh ~config:Ring ~region_mb () in
         let machine = Simurgh_sim.Machine.create () in
         let r = Targets.Fx_simurgh.run machine fs bench ~threads ~ops in
         let locks = Simurgh_core.Fs.locks fs in
@@ -109,7 +109,7 @@ let run ~scale =
       print_thread_header title;
       let seed_kops = sweep (Targets.simurgh ()) bench ~ops in
       Util.series "Simurgh" " %9.0f" seed_kops;
-      let scaled_kops = sweep (Targets.simurgh_scaled ()) bench ~ops in
+      let scaled_kops = sweep (Targets.simurgh ~config:Scaled ()) bench ~ops in
       Util.series "Simurgh-scaled" " %9.0f" scaled_kops;
       let speedup =
         List.map2 (fun sc se -> if se > 0.0 then sc /. se else 0.0)

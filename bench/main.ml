@@ -29,7 +29,6 @@ let experiments : (string * string * (scale:float -> unit)) list =
     ("fig10", "Fig. 10: YCSB breakdown for Simurgh", Exp_fig10.run);
     ("fig11", "Fig. 11: tar pack/unpack", Exp_fig11.run);
     ("fig12", "Fig. 12: git add/commit/reset", Exp_fig12.run);
-    ("sec55", "Section 5.5: crash-recovery time", Exp_sec55.run);
     ("crash", "crash-image exploration, media faults, fsck checker",
      Exp_crash.run);
     ("sched", "schedule exploration + happens-before race detection",

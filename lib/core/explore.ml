@@ -48,17 +48,14 @@ let point_label = function
 
 (* Mount a fresh FS handle on [region] as a new "process" would: the
    shared volatile state is discarded (a crash wiped DRAM) and rebuilt
-   from NVMM.  [scaled] re-enables the volatile scalability features
-   (striped locks, resolve cache, allocator caches) on the new mount,
-   so recovery and post-crash traffic run through the striped paths. *)
-let fresh_mount ?(range = false) ~scaled region =
+   from NVMM, with the features the superblock records. *)
+let fresh_mount region =
   Fs.invalidate_shared region;
   (* a dead process's page-table mappings die with it: if the crashed
      mount had guarded the region (secure mode), the new process starts
      unguarded until it installs its own protection *)
   Region.clear_guard region;
-  Fs.mount ~euid:0 ~striped_locks:scaled ~rcache:scaled ~alloc_caches:scaled
-    ~range_locks:range region
+  Fs.mount ~euid:0 region
 
 let default_size = 4 lsl 20
 
@@ -81,7 +78,7 @@ let run ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
   let stores = ref 0 in
   let hooks = ref [] (* (label, occurrence) in firing order, reversed *) in
   let hook_count = Hashtbl.create 16 in
-  let fs = fresh_mount ~range ~scaled region in
+  let fs = fresh_mount region in
   Region.set_store_hook region (fun () -> incr stores);
   Fs.set_crash_hook fs (fun label ->
       let n = (try Hashtbl.find hook_count label with Not_found -> 0) + 1 in
@@ -103,7 +100,7 @@ let run ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
     (fun point ->
       (* restore the post-setup state and run the op up to [point] *)
       Region.restore region cp0;
-      let fs = fresh_mount ~range ~scaled region in
+      let fs = fresh_mount region in
       (match point with
       | Store n ->
           let k = ref 0 in
@@ -139,7 +136,7 @@ let run ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
                 match verify with
                 | None -> ()
                 | Some v -> (
-                    try v (fresh_mount ~range ~scaled region)
+                    try v (fresh_mount region)
                     with e ->
                       let kept =
                         Array.to_list pending
@@ -220,7 +217,11 @@ let run ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
     region. *)
 let run_multi ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
     ?(size = default_size) ?(regions = 2) ?verify ~setup ~op () =
-  let sh0 = Shard.mkfs ~mode:Region.Strict ~obs:false ~regions ~euid:0 size in
+  let sh0 =
+    Shard.mkfs ~mode:Region.Strict ~obs:false ~regions
+      ~format:(fun ~shard r -> Fs.mkfs ~euid:0 ~shard r)
+      size
+  in
   let rs = Shard.regions sh0 in
   setup sh0;
   Array.iter Region.persist_all rs;
@@ -414,7 +415,7 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
   (* dry-run the op once to count its stores, then stride [op_points]
      crash points across them *)
   let stores = ref 0 in
-  let fs = fresh_mount ~scaled:false region in
+  let fs = fresh_mount region in
   Region.set_store_hook region (fun () -> incr stores);
   op fs;
   Region.clear_store_hook region;
@@ -436,7 +437,7 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
       (* 1. crash the op at store [opn]; drop every unpersisted line —
             the dirtiest image recovery can be handed *)
       Region.restore region cp0;
-      let fs = fresh_mount ~scaled:false region in
+      let fs = fresh_mount region in
       let k = ref 0 in
       Region.set_store_hook region (fun () ->
           incr k;

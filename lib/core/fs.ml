@@ -84,21 +84,10 @@ type t = {
   mutable euid : int;
   mutable egid : int;
   call_mode : call_mode;
-  relaxed_writes : bool;
-      (** disable the per-file write lock (Fig. 7k "relaxed") *)
-  coarse_dir_locks : bool;
-      (** ablation: one lock per directory instead of per-line busy
-          flags — the "whole-directory lock" counterfactual *)
+  features : Layout.features;  (** the superblock's region-wide protocols *)
   rcache : Rcache.t option;
       (** Simurgh-side DRAM resolve cache (shared across mounts);
           [None] = seed behavior, every component scanned in NVMM *)
-  range_locks : bool;
-      (** byte-range data-path locking: writers hold only the 4 KiB
-          rows they touch, appends reserve bytes with a fetch-and-add
-          and publish the size in order, and whole-file operations
-          (truncate, O_TRUNC, unlink) fence everyone out through an
-          exclusive pass over the per-file lock.  Off = seed behavior,
-          one rwlock per file around every data operation. *)
   log_ring : int;
       (** format-time rename-log ring size (from the superblock): each
           directory's first hash block carries this many log slots, and
@@ -209,19 +198,8 @@ let bootstrap_penv ~euid ~egid =
   Hw.Protected.seal univ;
   penv
 
-let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
-    ?(coarse_dir_locks = false) ?(striped_locks = false) ?(rcache = false)
-    ?(range_locks = false) ?shared ?(euid = 1000) ?(egid = 1000) layout =
-  (* [shared] joins an existing mount's shared-DRAM state; otherwise the
-     requested feature flags shape a fresh registry/cache *)
-  let locks, rc, quota =
-    match shared with
-    | Some (locks, rc, quota) -> (locks, rc, quota)
-    | None ->
-        ( Locks.create ~striped:striped_locks (),
-          (if rcache then Some (Rcache.create ()) else None),
-          Quota.create () )
-  in
+let of_layout ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000)
+    ~shared:(locks, rc, quota) layout =
   let fs =
     {
       layout;
@@ -231,10 +209,8 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
       euid;
       egid;
       call_mode;
-      relaxed_writes;
-      coarse_dir_locks;
+      features = layout.Layout.features;
       rcache = rc;
-      range_locks;
       log_ring = layout.Layout.log_ring;
       crash_hook = ignore;
       logical_time = 0;
@@ -295,66 +271,74 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
    lifetime is exactly the region's (no global registry to leak). *)
 exception Shared_state of Layout.t * Locks.t * Rcache.t option * Quota.t
 
-let lookup_shared region =
-  match Region.user_slot region with
-  | Some (Shared_state (layout, locks, rc, quota)) ->
-      Some (layout, locks, rc, quota)
-  | Some _ | None -> None
-
-let register_shared region layout locks rcache quota =
-  Region.set_user_slot region (Some (Shared_state (layout, locks, rcache, quota)))
-
-(* [alloc_caches] turns on the allocators' per-thread structures; they
-   hang off the (shared) layout, so one enable covers every mount. *)
-let enable_alloc_caches layout =
-  Simurgh_alloc.Block_alloc.set_thread_segments layout.Layout.balloc true;
-  Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.inode_slab true;
-  Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.fentry_slab true
-
-(** Format a fresh region and return a mounted file system.  [log_ring]
-    selects the rename-log ring size at format time (0 = the paper's
-    single per-directory log slot, on-media bit-identical). *)
-let mkfs ?(cores = 10) ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
-    ?striped_locks ?rcache ?range_locks ?(alloc_caches = false) ?log_ring
-    ?shard ?secure ?euid ?egid region =
-  let layout = Layout.format ?segments ?log_ring ?shard ?secure region ~cores in
-  make_root layout;
-  let fs =
-    of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
-      ?rcache ?range_locks ?euid ?egid layout
-  in
-  if alloc_caches then enable_alloc_caches layout;
-  register_shared region layout fs.locks fs.rcache fs.quota;
-  (* the FS is live from here: only a clean [unmount] sets the flag
-     back, so a crash leaves it clear and forces full recovery *)
+(* The first mount of a region builds the shared state the superblock's
+   features describe; the FS is live from here: only a clean [unmount]
+   sets the clean flag back, so a crash leaves it clear and forces full
+   recovery. *)
+let share region layout =
+  let f = layout.Layout.features in
+  let locks = Locks.create ~striped:f.Layout.striped_locks () in
+  let rc = if f.Layout.rcache then Some (Rcache.create ()) else None in
+  let quota = Quota.create () in
+  (* the allocators' per-thread structures hang off the (shared)
+     layout, so one enable covers every mount *)
+  if f.Layout.alloc_caches then begin
+    Simurgh_alloc.Block_alloc.set_thread_segments layout.Layout.balloc true;
+    Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.inode_slab true;
+    Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.fentry_slab true
+  end;
+  Region.set_user_slot region
+    (Some (Shared_state (layout, locks, rc, quota)));
   Layout.set_clean_shutdown layout false;
-  fs
+  (locks, rc, quota)
+
+(** Format a fresh region and return a mounted file system.  Every
+    feature flag is recorded in the superblock ({!Layout.features}), so
+    each later mount of the region runs the same protocols; [log_ring]
+    selects the rename-log ring size (0 = the paper's single
+    per-directory log slot, on-media bit-identical). *)
+let mkfs ?(cores = 10) ?segments ?call_mode ?(relaxed_writes = false)
+    ?(coarse_dir_locks = false) ?(striped_locks = false) ?(rcache = false)
+    ?(range_locks = false) ?(alloc_caches = false) ?log_ring ?shard ?secure
+    ?euid ?egid region =
+  let features =
+    {
+      Layout.striped_locks;
+      rcache;
+      alloc_caches;
+      range_locks;
+      coarse_dir_locks;
+      relaxed_writes;
+    }
+  in
+  let layout =
+    Layout.format ?segments ?log_ring ?shard ?secure ~features region ~cores
+  in
+  make_root layout;
+  of_layout ?call_mode ?euid ?egid ~shared:(share region layout) layout
 
 (** Attach to an already-formatted region: a second mount of a region
     joins the existing shared-DRAM state (allocator caches, locks,
     resolve cache), so independent "processes" cooperate exactly as the
-    paper describes; only the open-file map and the credentials are
-    per-process.  Crash recovery is in {!Recovery}. *)
-let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
-    ?range_locks ?(alloc_caches = false) ?euid ?egid region =
-  match lookup_shared region with
-  | Some (layout, locks, rc, quota) ->
-      (* joining mounts inherit the shared structures; the feature flags
-         of the first mount win — except [range_locks], which selects a
-         locking *protocol* and must agree across every mount of the
-         region (the reservation words live in the shared registry) *)
-      of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?range_locks
-        ~shared:(locks, rc, quota) ?euid ?egid layout
-  | None ->
-      let layout = Layout.attach region in
-      let fs =
-        of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
-          ?rcache ?range_locks ?euid ?egid layout
-      in
-      if alloc_caches then enable_alloc_caches layout;
-      register_shared region layout fs.locks fs.rcache fs.quota;
-      Layout.set_clean_shutdown layout false;
-      fs
+    paper describes; only the open-file map, the calling convention and
+    the credentials are per-process.  The protocols come from the
+    superblock; [range_locks], if given, must agree with it.  Crash
+    recovery is in {!Recovery}. *)
+let mount ?call_mode ?range_locks ?euid ?egid region =
+  let layout, joined =
+    match Region.user_slot region with
+    | Some (Shared_state (layout, locks, rc, quota)) ->
+        (layout, Some (locks, rc, quota))
+    | Some _ | None -> (Layout.attach region, None)
+  in
+  (match range_locks with
+  | Some r when r <> layout.Layout.features.Layout.range_locks ->
+      invalid_arg "Fs.mount: range_locks disagrees with the superblock"
+  | _ -> ());
+  let shared =
+    match joined with Some s -> s | None -> share region layout
+  in
+  of_layout ?call_mode ?euid ?egid ~shared layout
 
 (** Forget the shared state of a region (after a crash, the volatile
     state is gone by definition; {!Recovery} calls this). *)
@@ -365,9 +349,7 @@ let unmount t = Layout.set_clean_shutdown t.layout true
 let region t = t.region
 let layout t = t.layout
 let locks t = t.locks
-let locks_of t = t.locks
 let rcache_of t = t.rcache
-let quota_of t = t.quota
 let set_crash_hook t f = t.crash_hook <- f
 let set_creds t ~euid ~egid =
   t.euid <- euid;
@@ -671,7 +653,7 @@ let rec resolve ?ctx ?(follow = true) ?(depth = 0) t path =
 (* Lock a directory row: virtual-time spin lock plus the persistent busy
    flag in the first hash block (crash detection). *)
 let lock_row ?ctx t (d : dirref) row =
-  let row = if t.coarse_dir_locks then 0 else row in
+  let row = if t.features.Layout.coarse_dir_locks then 0 else row in
   Charge.with_spin ?ctx (Locks.row_lock t.locks ~dir:d.dhead ~row)
 
 let set_row_busy ?ctx t (d : dirref) row v =
@@ -1549,7 +1531,7 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
                drains them all before the inode and its blocks go away.
                Safe under the directory row lock — data ops never wait
                on directory rows, so the holders always finish. *)
-            (if t.range_locks then
+            (if t.features.Layout.range_locks then
                match ctx with
                | None -> ()
                | Some c ->
@@ -1913,7 +1895,7 @@ let openf ?ctx t (flags : Types.open_flags) path =
          Charge.write_lines ?ctx 2
        end
      in
-     if t.range_locks then
+     if t.features.Layout.range_locks then
        with_fence_excl ?ctx t inode (fun () ->
            trunc_body ();
            let st = state_of ?ctx t inode in
@@ -1941,7 +1923,7 @@ let fd_entry t fd =
   | None -> Errno.raise_ EBADF (string_of_int fd)
 
 let with_write_lock ?ctx t inode f =
-  if t.relaxed_writes then f ()
+  if t.features.Layout.relaxed_writes then f ()
   else
     match ctx with
     | None -> f ()
@@ -1952,7 +1934,7 @@ let with_write_lock ?ctx t inode f =
         Simurgh_sim.Vlock.Rw.with_write c l f
 
 let with_read_lock ?ctx t inode f =
-  if t.relaxed_writes then f ()
+  if t.features.Layout.relaxed_writes then f ()
   else
     match ctx with
     | None -> f ()
@@ -1973,7 +1955,8 @@ let pwrite ?ctx t fd ~pos src =
     Errno.raise_ EINVAL (Printf.sprintf "pwrite pos %d + len overflow" pos);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  if t.range_locks then range_pwrite ?ctx t w e.Openfile.inode ~pos src
+  if t.features.Layout.range_locks then
+    range_pwrite ?ctx t w e.Openfile.inode ~pos src
   else
     with_write_lock ?ctx t e.Openfile.inode (fun () ->
         write_data ?ctx t w e.Openfile.inode ~pos src)
@@ -1984,7 +1967,7 @@ let append ?ctx t fd src =
   t.penv.g_append @@ fun w ->
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  if t.range_locks then begin
+  if t.features.Layout.range_locks then begin
     let newpos = range_append ?ctx t w e.Openfile.inode src in
     e.Openfile.pos <- newpos;
     Bytes.length src
@@ -2006,7 +1989,8 @@ let pread ?ctx t fd ~pos ~len =
     Errno.raise_ EINVAL (Printf.sprintf "pread pos %d + len %d overflow" pos len);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Wronly then Errno.raise_ EBADF "write-only fd";
-  if t.range_locks then range_pread ?ctx t e.Openfile.inode ~pos ~len
+  if t.features.Layout.range_locks then
+    range_pread ?ctx t e.Openfile.inode ~pos ~len
   else
     with_read_lock ?ctx t e.Openfile.inode (fun () ->
         read_data ?ctx t e.Openfile.inode ~pos ~len)
@@ -2026,7 +2010,7 @@ let fallocate ?ctx t fd ~len =
       Charge.write_lines ?ctx 1
     end
   in
-  if t.range_locks then
+  if t.features.Layout.range_locks then
     with_fence_excl ?ctx t inode (fun () ->
         body ();
         (* the fence drained every reservation, so both words move *)
@@ -2079,7 +2063,7 @@ let truncate ?ctx t path len =
       Charge.write_lines ?ctx 1
     end
   in
-  if t.range_locks then
+  if t.features.Layout.range_locks then
     with_fence_excl ?ctx t inode (fun () ->
         body ();
         (* nothing is in flight behind the exclusive fence: reset the

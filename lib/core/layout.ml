@@ -29,6 +29,42 @@ let f_log_ring = 56 (* rename-log ring slots per directory; 0 = legacy *)
 let f_regions = 60 (* region count of the sharded namespace; 0 = legacy 1 *)
 let f_shard = 64 (* this region's shard index within [f_regions] *)
 let f_secure = 68 (* security plane: per-fentry owner words; 0 = legacy *)
+let f_features = 72 (* region-wide protocol bits ([features]); 0 = legacy *)
+
+(** The protocol choices every process mounting the region must share:
+    a lock registry, cache or data-path discipline that one mount runs
+    and another does not lets the two lose each other's updates.  So
+    they are fixed when the region is formatted and read back by every
+    mount; only the calling convention and the credentials stay
+    per-process (DESIGN.md Section 7). *)
+type features = {
+  striped_locks : bool;  (** hash-striped lock registry, per-row inserts *)
+  rcache : bool;  (** shared DRAM resolve cache *)
+  alloc_caches : bool;  (** per-thread allocator segments and caches *)
+  range_locks : bool;  (** byte-range data path (4 KiB row locks) *)
+  coarse_dir_locks : bool;  (** ablation: one lock per directory *)
+  relaxed_writes : bool;  (** ablation: no per-file write lock *)
+}
+
+let features_word f =
+  let bit on i = if on then 1 lsl i else 0 in
+  bit f.striped_locks 0 lor bit f.rcache 1 lor bit f.alloc_caches 2
+  lor bit f.range_locks 3 lor bit f.coarse_dir_locks 4
+  lor bit f.relaxed_writes 5
+
+let features_of_word w =
+  if w lsr 6 <> 0 then invalid_arg "Layout.attach: unknown feature bits";
+  let bit i = w land (1 lsl i) <> 0 in
+  {
+    striped_locks = bit 0;
+    rcache = bit 1;
+    alloc_caches = bit 2;
+    range_locks = bit 3;
+    coarse_dir_locks = bit 4;
+    relaxed_writes = bit 5;
+  }
+
+let no_features = features_of_word 0
 
 type t = {
   region : Region.t;
@@ -53,6 +89,9 @@ type t = {
           entry points enforce per-user permissions against it.  The
           superblock word at [f_secure] is only written when on, so
           legacy media stays bit-identical with the flag off. *)
+  features : features;
+      (** The region-wide protocols ([f_features]; written only when a
+          bit is set, so featureless media stays bit-identical). *)
 }
 
 let root_fentry t = Region.read_u62 t.region f_root_fentry
@@ -70,8 +109,8 @@ let set_clean_shutdown t v =
   Region.write_u8 t.region f_clean (if v then 1 else 0);
   Region.persist t.region f_clean 1
 
-let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
-    ~cores =
+let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false)
+    ?(features = no_features) region ~cores =
   let size = Region.size region in
   if size < 1 lsl 20 then invalid_arg "Layout.format: region too small";
   if log_ring < 0 || log_ring > 255 then
@@ -94,6 +133,8 @@ let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
   (* like the shard words: only secure media carries the flag, so a
      default format leaves offset 68 untouched and stays bit-identical *)
   if secure then Region.write_u32 region f_secure 1;
+  let fw = features_word features in
+  if fw <> 0 then Region.write_u32 region f_features fw;
   let segments =
     match segments with
     | Some s -> max 1 s
@@ -138,6 +179,7 @@ let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
     regions;
     shard_index;
     secure;
+    features;
   }
 
 let attach region =
@@ -160,6 +202,7 @@ let attach region =
       regions = (match Region.read_u32 region f_regions with 0 -> 1 | n -> n);
       shard_index = Region.read_u32 region f_shard;
       secure = Region.read_u32 region f_secure <> 0;
+      features = features_of_word (Region.read_u32 region f_features);
     }
   in
   Simurgh_alloc.Slab_alloc.rebuild_cache t.inode_slab;

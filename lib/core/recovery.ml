@@ -1042,13 +1042,9 @@ let run_all ?par ?skip_log_resolution ?drop_mark_shard regions =
     regions
 
 (** Recover and mount in one step. *)
-let mount_after_crash ?call_mode ?relaxed_writes ?euid ?egid region =
-  let layout, report = run region in
-  let fs = Fs.of_layout ?call_mode ?relaxed_writes ?euid ?egid layout in
-  Fs.register_shared region layout (Fs.locks_of fs) (Fs.rcache_of fs)
-    (Fs.quota_of fs);
-  Layout.set_clean_shutdown layout false;
-  (fs, report)
+let mount_after_crash ?call_mode ?euid ?egid region =
+  let _, report = run region in
+  (Fs.mount ?call_mode ?euid ?egid region, report)
 
 (** Mount with the clean-shutdown fast path (paper §4.3: "if the file
     system was unmounted cleanly, no recovery is necessary").  A set
@@ -1056,16 +1052,12 @@ let mount_after_crash ?call_mode ?relaxed_writes ?euid ?egid region =
     and skip the mark-and-sweep entirely ([None]).  A clear flag means a
     crash (mounting clears it, only a clean unmount sets it back), so a
     full {!run} is performed ([Some report]). *)
-let mount_auto ?call_mode ?relaxed_writes ?euid ?egid region =
-  if Layout.clean_shutdown_of_region region then begin
-    let fs = Fs.mount ?call_mode ?relaxed_writes ?euid ?egid region in
-    (fs, None)
-  end
-  else
-    let fs, report =
-      mount_after_crash ?call_mode ?relaxed_writes ?euid ?egid region
-    in
-    (fs, Some report)
+let mount_auto ?call_mode ?euid ?egid region =
+  let report =
+    if Layout.clean_shutdown_of_region region then None
+    else Some (snd (run region))
+  in
+  (Fs.mount ?call_mode ?euid ?egid region, report)
 
 (** Runtime (process-crash) recovery for a single directory: repair its
     rows and clear its busy flags without a global scan.  Returns the

@@ -48,11 +48,11 @@ type scenario = {
   name : string;
   threads : int;
   scaled : bool;
-      (** mount with the scalability features on (striped locks,
+      (** format with the scalability features on (striped locks,
           per-thread allocator caches, resolve cache) — the correctness
           gate for the striped shared-directory paths *)
   range : bool;
-      (** mount with byte-range data-path locking — the correctness
+      (** format with byte-range data-path locking — the correctness
           gate for the range/append/publish protocols *)
   ring : int;
       (** format with a rename-log ring of this many slots (0 = legacy
@@ -109,11 +109,6 @@ let rec snapshot_dir fs path acc =
 
 let snapshot fs = String.concat "\n" (List.rev (snapshot_dir fs "/" []))
 
-let fresh_mount ?(range = false) ~scaled region =
-  Fs.invalidate_shared region;
-  Fs.mount ~euid:0 ~striped_locks:scaled ~rcache:scaled ~alloc_caches:scaled
-    ~range_locks:range region
-
 let default_size = 4 lsl 20
 
 (* --- the explorer ------------------------------------------------------ *)
@@ -141,7 +136,7 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let run_one label policy =
     incr schedules;
     Region.restore region cp0;
-    let fs = fresh_mount ~range:sc.range ~scaled:sc.scaled region in
+    let fs = Explore.fresh_mount region in
     let machine = Machine.create () in
     let race = Race.create ~threads in
     (* the block allocator's persistent segment lock words are read
@@ -618,7 +613,7 @@ let ring_scenarios ~threads =
 
 (* --- byte-range data-path scenarios ------------------------------------ *)
 
-(* All four mount with [range_locks] (plus the striped registry): one
+(* All four format with [range_locks] (plus the striped registry): one
    shared file, concurrent byte-level traffic.  Writers of disjoint
    4 KiB rows must scale AND serialize correctly; the explorer proves
    the correctness half here, with zero race reports required — the
@@ -861,7 +856,7 @@ let build_crashed_image ~poison ~size =
   Fs.create_file fs "/d0/sub/leaf";
   Fs.symlink fs ~target:"/d0/f0" "/d0/link";
   Region.persist_all region;
-  let fs = fresh_mount ~scaled:false region in
+  let fs = Explore.fresh_mount region in
   Fs.create_file fs "/d1/extra0";
   Fs.create_file fs "/d1/extra1";
   let k = ref 0 in

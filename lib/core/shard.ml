@@ -82,16 +82,17 @@ let note_alloc_sources ~prefix t =
     [<prefix>0 .. <prefix>N-1] (default prefix ["region"]) so their
     observability counters stay apart — a bench sweeping several region
     counts under one collector gives each sweep point its own prefix;
-    each is formatted as shard [i] of [n] (recorded in its superblock,
-    so [mount] can sanity-check the set).  When a [machine] is given,
-    its per-region bandwidth servers are grown to match.  [~obs:false]
-    creates unnamed regions and registers no named sources — for
-    callers (like the crash explorer) that create and re-attach many
-    short-lived shard sets under one collector, where exclusive named
-    registration would (correctly) refuse the second set. *)
-let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ?cores ?segments
-    ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
-    ?range_locks ?alloc_caches ?log_ring ?euid ?egid ~regions:n size =
+    each is formatted by [format ~shard:(i, n)] — the caller's partial
+    application of {!Fs.mkfs}, which records the shard index in the
+    superblock (so [mount] can sanity-check the set) next to the
+    volume's features.  When a [machine] is given, its per-region
+    bandwidth servers are grown to match.  [~obs:false] creates unnamed
+    regions and registers no named sources — for callers (like the
+    crash explorer) that create and re-attach many short-lived shard
+    sets under one collector, where exclusive named registration would
+    (correctly) refuse the second set. *)
+let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ~format ~regions:n
+    size =
   if n < 1 then invalid_arg "Shard.mkfs: need at least one region";
   (match machine with
   | Some m -> Simurgh_sim.Machine.set_regions m n
@@ -102,14 +103,7 @@ let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ?cores ?segments
           Region.create ?mode ~name:(Printf.sprintf "%s%d" prefix i) size
         else Region.create ?mode size)
   in
-  let shards =
-    Array.mapi
-      (fun i region ->
-        Fs.mkfs ?cores ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
-          ?striped_locks ?rcache ?range_locks ?alloc_caches ?log_ring
-          ~shard:(i, n) ?euid ?egid region)
-      regions
-  in
+  let shards = Array.mapi (fun i r -> format ~shard:(i, n) r) regions in
   let t = { shards; regions } in
   if obs then note_alloc_sources ~prefix t;
   t
@@ -117,32 +111,29 @@ let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ?cores ?segments
 (** Re-attach to an already-formatted region set (after recovery the
     caller runs {!Recovery.run_all} first, exactly as with a single
     region).  Each region's superblock must agree on the set size and
-    carry its own index.  [~obs:false] skips the named alloc-source
-    registration (see {!mkfs}). *)
-let mount ?machine ?(obs = true) ?(prefix = "region") ?call_mode
-    ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache ?range_locks
-    ?alloc_caches ?euid ?egid regions =
+    the features, and carry its own index.  [~obs:false] skips the
+    named alloc-source registration (see {!mkfs}). *)
+let mount ?machine ?(obs = true) ?(prefix = "region") ?call_mode ?euid ?egid
+    regions =
   let n = Array.length regions in
   if n < 1 then invalid_arg "Shard.mount: need at least one region";
   (match machine with
   | Some m -> Simurgh_sim.Machine.set_regions m n
   | None -> ());
-  let shards =
-    Array.mapi
-      (fun i region ->
-        let fs =
-          Fs.mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
-            ?rcache ?range_locks ?alloc_caches ?euid ?egid region
-        in
-        let l = Fs.layout fs in
-        if l.Layout.regions <> n || l.Layout.shard_index <> i then
-          invalid_arg
-            (Printf.sprintf
-               "Shard.mount: region %d claims shard %d/%d, expected %d/%d" i
-               l.Layout.shard_index l.Layout.regions i n);
-        fs)
-      regions
-  in
+  let shards = Array.map (Fs.mount ?call_mode ?euid ?egid) regions in
+  let features = (Fs.layout shards.(0)).Layout.features in
+  Array.iteri
+    (fun i fs ->
+      let l = Fs.layout fs in
+      if l.Layout.regions <> n || l.Layout.shard_index <> i then
+        invalid_arg
+          (Printf.sprintf
+             "Shard.mount: region %d claims shard %d/%d, expected %d/%d" i
+             l.Layout.shard_index l.Layout.regions i n);
+      if l.Layout.features <> features then
+        invalid_arg
+          (Printf.sprintf "Shard.mount: region %d disagrees on features" i))
+    shards;
   let t = { shards; regions } in
   if obs then note_alloc_sources ~prefix t;
   t

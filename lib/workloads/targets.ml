@@ -23,57 +23,35 @@ type target = {
 
 let default_region_mb = 512
 
-let fresh_simurgh ?(relaxed_writes = false) ?(region_mb = default_region_mb)
-    () =
-  let region = Simurgh_nvmm.Region.create (region_mb * 1024 * 1024) in
-  Simurgh_core.Fs.mkfs ~euid:0 ~relaxed_writes region
+(** The Simurgh configurations the experiments compare, each fixed at
+    mkfs.  [Seed] is the paper's design; [Relaxed] drops the per-file
+    write lock (Fig. 7k); [Scaled] turns on the metadata-scalability
+    features (striped directory locks, per-thread allocator caches, the
+    DRAM resolve cache) with the seed's on-media objects, so seed-vs-
+    scaled sweeps isolate the concurrency work; [Ring] adds the
+    rename-log ring format, so concurrent renames stop serializing on
+    the single per-directory log lock. *)
+type config = Seed | Relaxed | Scaled | Ring
 
-let simurgh ?(relaxed_writes = false) () =
-  let name = if relaxed_writes then "Simurgh-relaxed" else "Simurgh" in
+let fresh_simurgh ?(config = Seed) ?(region_mb = default_region_mb) () =
+  let region = Simurgh_nvmm.Region.create (region_mb * 1024 * 1024) in
+  let scaled = config = Scaled || config = Ring in
+  Simurgh_core.Fs.mkfs ~euid:0 ~relaxed_writes:(config = Relaxed)
+    ~striped_locks:scaled ~rcache:scaled ~alloc_caches:scaled
+    ~log_ring:(if config = Ring then 16 else 0)
+    region
+
+let simurgh ?(config = Seed) () =
   {
-    name;
+    name =
+      (match config with
+      | Seed -> "Simurgh"
+      | Relaxed -> "Simurgh-relaxed"
+      | Scaled -> "Simurgh-scaled"
+      | Ring -> "Simurgh-logring");
     run_fx =
       (fun ?region_mb ~threads ~ops bench ->
-        let fs = fresh_simurgh ~relaxed_writes ?region_mb () in
-        let machine = Machine.create () in
-        Fx_simurgh.run machine fs bench ~threads ~ops);
-  }
-
-(** Simurgh with the metadata-scalability features on: striped directory
-    locks, per-thread allocator caches and the DRAM resolve cache.  Same
-    on-media layout as {!fresh_simurgh} (only volatile behavior
-    differs), so seed-vs-scaled sweeps isolate the concurrency work. *)
-let fresh_simurgh_scaled ?(region_mb = default_region_mb) () =
-  let region = Simurgh_nvmm.Region.create (region_mb * 1024 * 1024) in
-  Simurgh_core.Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true
-    ~alloc_caches:true region
-
-let simurgh_scaled () =
-  {
-    name = "Simurgh-scaled";
-    run_fx =
-      (fun ?region_mb ~threads ~ops bench ->
-        let fs = fresh_simurgh_scaled ?region_mb () in
-        let machine = Machine.create () in
-        Fx_simurgh.run machine fs bench ~threads ~ops);
-  }
-
-(** The scaled configuration plus the rename-log ring format: each
-    directory's first hash block carries a ring of log slots, so
-    concurrent renames stop serializing on the single per-directory log
-    lock.  The only target whose on-media layout differs from the seed
-    (format-time flag; mounts of seed images are unaffected). *)
-let fresh_simurgh_ring ?(region_mb = default_region_mb) () =
-  let region = Simurgh_nvmm.Region.create (region_mb * 1024 * 1024) in
-  Simurgh_core.Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true
-    ~alloc_caches:true ~log_ring:16 region
-
-let simurgh_ring () =
-  {
-    name = "Simurgh-logring";
-    run_fx =
-      (fun ?region_mb ~threads ~ops bench ->
-        let fs = fresh_simurgh_ring ?region_mb () in
+        let fs = fresh_simurgh ~config ?region_mb () in
         let machine = Machine.create () in
         Fx_simurgh.run machine fs bench ~threads ~ops);
   }

@@ -93,7 +93,7 @@ let test_explore_cross_rename () =
   assert_no_failures "cross rename" st
 
 (* The same two rename state machines explored on log-ring media (ring
-   of 4 slots, scaled mount): every crash image — including those with a
+   of 4 slots, scaled format): every crash image — including those with a
    pending ring slot — must recover to a checker-clean ring. *)
 let test_explore_rename_ring () =
   let st =

@@ -346,8 +346,9 @@ let test_striped_rename () =
   Alcotest.(check bool) "untouched tail" true (Fs.exists fs "/s/a99");
   fsck_clean "after striped renames" region
 
-(* The scaled features are volatile-only: a region written by a scaled
-   mount must read back bit-compatibly through a stock (seed) mount. *)
+(* The scaled features change no on-media object, only the superblock's
+   feature word: a plain remount of a scaled image reads it back, runs
+   the same protocols and sees the same bytes. *)
 let test_striped_layout_compatible () =
   let region = fresh_region () in
   let fs =
@@ -360,13 +361,42 @@ let test_striped_layout_compatible () =
   Fs.close fs fd;
   Fs.unmount fs;
   Fs.invalidate_shared region;
-  (* stock mount: no striping, no caches *)
+  (* a mount that names no feature inherits them from the superblock *)
   let fs2 = Fs.mount ~euid:0 region in
+  Alcotest.(check bool) "inherits striped locks" true
+    (Simurgh_core.Locks.striped (Fs.locks fs2));
+  Alcotest.(check bool) "inherits resolve cache" true
+    (Fs.rcache_of fs2 <> None);
+  let features = (Fs.layout fs2).Simurgh_core.Layout.features in
+  Alcotest.(check bool) "inherits allocator caches" true
+    features.Simurgh_core.Layout.alloc_caches;
   let fd = Fs.openf fs2 Types.rdonly "/home/file" in
-  Alcotest.(check string) "data readable by seed mount" "same layout"
+  Alcotest.(check string) "data readable by plain mount" "same layout"
     (Bytes.to_string (Fs.pread fs2 fd ~pos:0 ~len:100));
   Fs.close fs2 fd;
-  fsck_clean "seed mount of scaled image" region
+  fsck_clean "plain mount of scaled image" region
+
+(* The feature word: absent (zero) on a default format, so seed media
+   stays bit-identical; read back exactly by [attach]; and a bit this
+   code does not know is refused rather than silently ignored. *)
+let test_feature_word () =
+  let module Layout = Simurgh_core.Layout in
+  let module Region = Simurgh_nvmm.Region in
+  let region = fresh_region () in
+  ignore (Fs.mkfs ~euid:0 region);
+  Alcotest.(check int) "default format leaves the word zero" 0
+    (Region.read_u32 region Layout.f_features);
+  let region = fresh_region () in
+  ignore (Fs.mkfs ~euid:0 ~rcache:true ~relaxed_writes:true region);
+  let want =
+    { Layout.no_features with Layout.rcache = true; relaxed_writes = true }
+  in
+  Alcotest.(check bool) "attach reads the features back" true
+    ((Layout.attach region).Layout.features = want);
+  Region.write_u32 region Layout.f_features (1 lsl 6);
+  match Layout.attach region with
+  | _ -> Alcotest.fail "expected invalid_arg on an unknown feature bit"
+  | exception Invalid_argument _ -> ()
 
 (* --- resolve cache -------------------------------------------------------- *)
 
@@ -452,6 +482,20 @@ module Posix_range =
     (Fs)
     (struct
       let fresh = fresh_range
+    end)
+
+(* The benchmark's configuration must be semantically invisible too:
+   secure media with a 16-slot rename-log ring, striped locks, resolve
+   cache, allocator caches and byte-range locks, all at once. *)
+let fresh_bench_config () =
+  Fs.mkfs ~euid:0 ~secure:true ~log_ring:16 ~striped_locks:true ~rcache:true
+    ~alloc_caches:true ~range_locks:true (fresh_region ())
+
+module Posix_bench_config =
+  Fs_suite.Make
+    (Fs)
+    (struct
+      let fresh = fresh_bench_config
     end)
 
 (* --- rename-log ring ------------------------------------------------------ *)
@@ -678,12 +722,19 @@ let test_overflow_einval () =
     (Simurgh_baselines.Splitfs.create ());
   overflow_cases
     (module Simurgh_core.Shard)
-    (Simurgh_core.Shard.mkfs ~regions:2 ~euid:0 (16 * 1024 * 1024))
+    (Simurgh_core.Shard.mkfs ~regions:2
+       ~format:(fun ~shard r -> Fs.mkfs ~euid:0 ~shard r)
+       (16 * 1024 * 1024))
 
 (* -- sharded multi-region namespace ----------------------------------- *)
 
 module Shard = Simurgh_core.Shard
 module Name_hash = Simurgh_core.Name_hash
+
+let shard_mkfs ?secure regions =
+  Shard.mkfs ~regions
+    ~format:(fun ~shard r -> Fs.mkfs ~euid:0 ?secure ~shard r)
+    (16 * 1024 * 1024)
 
 (* a top-level dir name that Name_hash.home routes to region [r] *)
 let shard_dir ~regions r =
@@ -695,7 +746,7 @@ let shard_dir ~regions r =
 
 let test_shard_namespace () =
   let regions = 4 in
-  let sh = Shard.mkfs ~regions ~euid:0 (16 * 1024 * 1024) in
+  let sh = shard_mkfs regions in
   let dirs = Array.init regions (fun r -> shard_dir ~regions r) in
   Array.iter (fun d -> Shard.mkdir sh d) dirs;
   Array.iteri
@@ -740,7 +791,7 @@ let test_shard_namespace () =
     (st.Fs.free_blocks + st.Fs.used_blocks + st.Fs.quarantined_blocks)
 
 let test_shard_cross_region_rename () =
-  let sh = Shard.mkfs ~regions:2 ~euid:0 (16 * 1024 * 1024) in
+  let sh = shard_mkfs 2 in
   let d0 = shard_dir ~regions:2 0 and d1 = shard_dir ~regions:2 1 in
   Shard.mkdir sh d0;
   Shard.mkdir sh d1;
@@ -775,7 +826,7 @@ let test_shard_cross_region_rename () =
   Alcotest.(check bool) "renamed in place" true (Shard.exists sh (d1 ^ "/ln2"))
 
 let test_shard_remount () =
-  let sh = Shard.mkfs ~regions:2 ~euid:0 (16 * 1024 * 1024) in
+  let sh = shard_mkfs 2 in
   let d1 = shard_dir ~regions:2 1 in
   Shard.mkdir sh d1;
   let fd = Shard.openf sh (Types.creat Types.rdwr) (d1 ^ "/f") in
@@ -795,6 +846,41 @@ let test_shard_remount () =
   match Shard.mount ~euid:0 [| rs.(1); rs.(0) |] with
   | _ -> Alcotest.fail "expected invalid_arg on permuted regions"
   | exception Invalid_argument _ -> ()
+
+(* Every region of a set must run the same protocols: a set whose
+   regions were formatted with different features is refused. *)
+let test_shard_mixed_features () =
+  let sh =
+    Shard.mkfs ~regions:2
+      ~format:(fun ~shard r ->
+        Fs.mkfs ~euid:0 ~rcache:(fst shard = 0) ~shard r)
+      (16 * 1024 * 1024)
+  in
+  let rs = Shard.regions sh in
+  Array.iter Fs.invalidate_shared rs;
+  match Shard.mount ~euid:0 rs with
+  | _ -> Alcotest.fail "expected invalid_arg on mixed features"
+  | exception Invalid_argument _ -> ()
+
+(* Secure sharded media: every region carries the owner words, so a
+   tenant is refused a create in a root-owned 0o755 directory whichever
+   region the directory hashes to. *)
+let test_shard_secure () =
+  let sh = shard_mkfs ~secure:true 2 in
+  let dirs = Array.init 2 (fun r -> shard_dir ~regions:2 r) in
+  Array.iter (fun d -> Shard.mkdir sh ~perm:0o755 d) dirs;
+  let tenant = Shard.mount ~euid:1000 ~egid:1000 (Shard.regions sh) in
+  Array.iteri
+    (fun r d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "region %d secure" r)
+        true
+        (Fs.is_secure (Shard.fs_of tenant r));
+      Alcotest.(check int) (d ^ " routes to its region") r (Shard.route sh d);
+      expect_err EACCES (fun () -> Shard.create_file tenant (d ^ "/x")))
+    dirs;
+  Alcotest.(check int) "checker clean" 0
+    (List.length (Simurgh_core.Check.run_all (Shard.regions sh)))
 
 let () =
   Alcotest.run "fs"
@@ -842,6 +928,7 @@ let () =
           Alcotest.test_case "rcache FS invalidation" `Quick
             test_rcache_fs_invalidation;
           Alcotest.test_case "rcache unit" `Quick test_rcache_unit;
+          Alcotest.test_case "feature word" `Quick test_feature_word;
         ] );
       ("posix-ring", Posix_ring.suite);
       ( "log-ring",
@@ -850,6 +937,7 @@ let () =
           Alcotest.test_case "rename churn" `Quick test_ring_rename_churn;
         ] );
       ("posix-range", Posix_range.suite);
+      ("posix-bench", Posix_bench_config.suite);
       ( "overflow",
         [
           Alcotest.test_case "EINVAL on pos/len overflow (all FSes)" `Quick
@@ -863,6 +951,10 @@ let () =
             test_shard_cross_region_rename;
           Alcotest.test_case "remount + permutation guard" `Quick
             test_shard_remount;
+          Alcotest.test_case "mixed features refused" `Quick
+            test_shard_mixed_features;
+          Alcotest.test_case "secure regions refuse a tenant" `Quick
+            test_shard_secure;
         ] );
       ( "range",
         [

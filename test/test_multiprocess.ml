@@ -122,6 +122,55 @@ let test_virtual_time_contention_across_processes () =
   Alcotest.(check bool) "virtual time advanced" true
     (o.Engine.makespan_cycles > 0.0)
 
+(* --- the volume is the configuration ------------------------------------- *)
+
+(* The locking and caching protocols are recorded at mkfs: a later mount
+   that names none of them must still run the same ones, or two
+   processes running different append protocols lose each other's
+   bytes.  Three 4-byte appends to one file, alternating between the
+   mounts, must all land: [p1] appends A, [p2] B, [p1] C. *)
+let interleaved_appends p1 p2 =
+  Fs.create_file p1 "/log";
+  let fd1 = Fs.openf p1 Types.wronly "/log" in
+  let fd2 = Fs.openf p2 Types.wronly "/log" in
+  ignore (Fs.append p1 fd1 (Bytes.of_string "AAAA"));
+  ignore (Fs.append p2 fd2 (Bytes.of_string "BBBB"));
+  ignore (Fs.append p1 fd1 (Bytes.of_string "CCCC"));
+  Fs.close p1 fd1;
+  Fs.close p2 fd2;
+  let fd = Fs.openf p2 Types.rdonly "/log" in
+  let data = Bytes.to_string (Fs.pread p2 fd ~pos:0 ~len:64) in
+  Fs.close p2 fd;
+  Alcotest.(check (pair int string))
+    "all three appends kept" (12, "AAAABBBBCCCC")
+    ((Fs.stat p2 "/log").Types.size, data)
+
+let test_plain_joiner_inherits_range_locks () =
+  let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
+  let p1 = Fs.mkfs ~euid:0 ~range_locks:true region in
+  let p2 = Fs.mount ~euid:0 region in
+  interleaved_appends p1 p2
+
+let test_recovered_mount_keeps_features () =
+  let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
+  let fs =
+    Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~range_locks:true region
+  in
+  Fs.mkdir fs "/d";
+  let p1, _ = Simurgh_core.Recovery.mount_after_crash ~euid:0 region in
+  Alcotest.(check bool) "striped locks" true
+    (Simurgh_core.Locks.striped (Fs.locks p1));
+  Alcotest.(check bool) "resolve cache" true (Fs.rcache_of p1 <> None);
+  let p2 = Fs.mount ~euid:0 ~range_locks:true region in
+  interleaved_appends p1 p2
+
+let test_mount_disagreeing_range_locks () =
+  let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
+  ignore (Fs.mkfs ~euid:0 ~range_locks:true region);
+  match Fs.mount ~euid:0 ~range_locks:false region with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "multiprocess"
     [
@@ -140,5 +189,14 @@ let () =
             test_cross_process_rename_and_recovery;
           Alcotest.test_case "contention across processes" `Quick
             test_virtual_time_contention_across_processes;
+        ] );
+      ( "features",
+        [
+          Alcotest.test_case "plain joiner inherits range locks" `Quick
+            test_plain_joiner_inherits_range_locks;
+          Alcotest.test_case "recovered mount keeps features" `Quick
+            test_recovered_mount_keeps_features;
+          Alcotest.test_case "disagreeing range_locks refused" `Quick
+            test_mount_disagreeing_range_locks;
         ] );
     ]
