@@ -11,38 +11,44 @@ test: build
 # Full gate: build + unit/property/differential tests (five POSIX-suite
 # passes: default, striped, log-ring, range, and the benchmark's secure
 # full-feature configuration) + the benchmark's own tests (its remount
-# and durability replay) + a quick smoke run of the
-# region data-path microbenchmark (writes BENCH_region.json), the
-# bounded crash-image explorer / media-fault / checker experiment
-# (including the log-ring rename machines and the crash-during-recovery
-# re-entrancy machines), the metadata-scalability sweep (writes
-# BENCH_scale.json with the 7d log-ring curve), the data-path scaling +
-# open-loop experiment (writes BENCH_data.json), the parallel
-# mark-and-sweep recovery figure (writes BENCH_recovery.json) and the
-# multi-region NUMA bandwidth figure (writes BENCH_numa.json) and the
-# security-plane overhead sweep with its <=15% protected-path gate
-# (writes BENCH_secure.json), plus the schedule-exploration /
-# race-detection and offline-fsck self-checks (both of which now also
-# gate parallel recovery) and the published-figure digest gate.
+# and durability replay) + a quick smoke run of the region data-path
+# microbenchmark, the bounded crash-image explorer / media-fault /
+# checker experiment (including the log-ring rename machines and the
+# crash-during-recovery re-entrancy machines), the metadata-scalability
+# sweep with the 7d log-ring curve, the data-path scaling + open-loop
+# experiment, the parallel mark-and-sweep recovery figure, the
+# multi-region NUMA bandwidth figure and the security-plane overhead
+# sweep with its <=15% protected-path gate, plus the schedule-exploration
+# / race-detection and offline-fsck self-checks (both of which now also
+# gate parallel recovery) and the published-figure digest gate.  The
+# smoke run exports into _build/bench-smoke, never over the committed
+# BENCH_*.json; every file it writes and every committed one must carry
+# the one bench schema.
+SMOKE := _build/bench-smoke
 check: test races fsck figs-gate
 	dune build @simbench/test/bench-test
-	dune exec bench/main.exe -- --scale 0.05 region crash scale data recovery numa secure
+	rm -rf $(SMOKE)
+	dune exec bench/main.exe -- --json $(SMOKE) --scale 0.05 region crash scale data recovery numa secure
+	@bad=; for f in $(SMOKE)/BENCH_*.json BENCH_*.json; do \
+	  grep -q '"schema": "simurgh-bench-v1"' "$$f" || bad="$$bad $$f"; \
+	done; \
+	if [ -n "$$bad" ]; then echo "check: not simurgh-bench-v1:$$bad"; exit 1; fi
 
 # Data-path scaling: whole-file lock vs byte-range locking on one shared
-# file, plus open-loop tail latency (writes BENCH_data.json).
+# file, plus open-loop tail latency (refreshes BENCH_data.json).
 data: build
-	dune exec bench/main.exe -- data
+	dune exec bench/main.exe -- --json . data
 
 # Multi-region NVMM: aggregate bandwidth vs region count plus the
-# cross-socket latency surcharge (writes BENCH_numa.json).
+# cross-socket latency surcharge (refreshes BENCH_numa.json).
 numa: build
-	dune exec bench/main.exe -- numa
+	dune exec bench/main.exe -- --json . numa
 
 # Security plane: plain vs protected entry vs full per-user enforcement
 # across FxMark at 1-40 threads, with the <=15% overhead gate on 7a
-# (writes BENCH_secure.json).
+# (refreshes BENCH_secure.json).
 secure: build
-	dune exec bench/main.exe -- secure
+	dune exec bench/main.exe -- --json . secure
 
 # The security plane must not move a single byte of the published
 # figures when the permission flag is off: the deterministic
@@ -68,8 +74,9 @@ fsck: build
 races: build
 	dune exec bench/main.exe -- --scale 0.2 --races
 
+# Region data-path microbenchmark (refreshes BENCH_region.json).
 bench: build
-	dune exec bench/main.exe -- region
+	dune exec bench/main.exe -- --json . region
 
 clean:
 	dune clean

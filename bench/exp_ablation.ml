@@ -29,7 +29,7 @@ let run_variant name fresh bench ~ops =
 let run ~scale =
   let ops = Util.scaled ~scale 2000 in
   Util.header "ablation: entry mechanism (createfile shared dir, Kops/s)";
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   run_variant "jmpp (+46cyc)" (fun () -> mk ()) Fxmark.Create_shared ~ops;
   run_variant "syscall entry"
     (fun () -> mk ~call_mode:Simurgh_core.Fs.Syscall ())
@@ -39,7 +39,7 @@ let run ~scale =
     Fxmark.Create_shared ~ops;
 
   Util.header "ablation: entry mechanism (resolvepath shared prefix, Kops/s)";
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   run_variant "jmpp (+46cyc)" (fun () -> mk ()) Fxmark.Resolve_shared
     ~ops:(2 * ops);
   run_variant "syscall entry"
@@ -47,14 +47,14 @@ let run ~scale =
     Fxmark.Resolve_shared ~ops:(2 * ops);
 
   Util.header "ablation: directory locking (createfile shared dir, Kops/s)";
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   run_variant "per-line busy" (fun () -> mk ()) Fxmark.Create_shared ~ops;
   run_variant "whole-dir lock"
     (fun () -> mk ~coarse_dir_locks:true ())
     Fxmark.Create_shared ~ops;
 
   Util.header "ablation: block allocator (fallocate, Kops/s)";
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   (* 16 ops x 4 MiB x 10 threads needs ~1 GiB with headroom *)
   run_variant "segmented (20)"
     (fun () -> mk ~region_mb:1536 ())
@@ -64,7 +64,7 @@ let run ~scale =
     Fxmark.Fallocate_private ~ops:16;
 
   Util.header "ablation: shared-file write lock (overwrite shared, Kops/s)";
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   run_variant "per-file lock" (fun () -> mk ()) Fxmark.Overwrite_shared ~ops;
   run_variant "relaxed"
     (fun () -> mk ~relaxed_writes:true ())

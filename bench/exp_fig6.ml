@@ -7,7 +7,7 @@ open Simurgh_workloads
 let run ~scale =
   let ops = Util.scaled ~scale 3000 in
   Util.header "fig6: FxMark DRBL read bandwidth, original vs adapted (GB/s)";
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   let cm = Simurgh_sim.Cost_model.default in
   let max_bw_gb =
     cm.Simurgh_sim.Cost_model.nvmm_read_bw *. cm.Simurgh_sim.Cost_model.freq_hz

@@ -52,7 +52,7 @@ let run_bench ~scale (id, bench, base_ops) =
   Util.header
     (Printf.sprintf "%s: %s (Kops/s; %d ops/thread)" id
        (Fxmark.bench_name bench) ops);
-  Util.print_thread_header ();
+  Util.print_thread_header Util.thread_counts;
   let is_data = match bench with
     | Fxmark.Append_private | Fxmark.Fallocate_private | Fxmark.Read_shared _
     | Fxmark.Read_private _ | Fxmark.Overwrite_shared | Fxmark.Write_private ->

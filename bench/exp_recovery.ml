@@ -23,7 +23,9 @@
     also carries leaked slab objects (crashed mid-create) so the sweep
     has real garbage to reclaim.
 
-    JSON: [BENCH_recovery.json], schema [simurgh-recovery-v1]. *)
+    Mirrored into two {!Simurgh_obs.Report} tables (the curve, and the
+    widest run's {!Simurgh_core.Recovery.report}) and [recovery/*]
+    counters. *)
 
 module Fs = Simurgh_core.Fs
 module Recovery = Simurgh_core.Recovery
@@ -34,6 +36,7 @@ module Slab = Simurgh_alloc.Slab_alloc
 module Machine = Simurgh_sim.Machine
 module Cost_model = Simurgh_sim.Cost_model
 module Collect = Simurgh_obs.Collect
+module Report = Simurgh_obs.Report
 
 let worker_counts = [ 1; 2; 4; 8 ]
 let files_per_dir = 48
@@ -120,18 +123,31 @@ let measure ~files =
   }
 
 let run ~scale =
-  Util.header
-    "recovery: parallel mark-and-sweep recovery time vs file count";
-  let counters = ref [] in
-  Collect.note_source (fun () -> !counters @ Recovery.counters ());
-  let tally k v = counters := (k, v) :: !counters in
+  let title = "recovery: parallel mark-and-sweep recovery time vs file count" in
+  Util.header title;
+  Report.note
+    (Printf.sprintf
+       "model_s_w<n>: virtual-time seconds of Recovery.run under the \
+        work-pool vtime driver at n workers (dependent metadata line fetches \
+        at NVMM latency/MLP, bulk segment scans at streaming bandwidth, \
+        sequential phases on worker 0); seq_wall_s: host wall-clock of the \
+        plain sequential run, sanity anchor only; speedup_w<n>: \
+        model_s_w1 / model_s_w<n>; paper anchor: %d objects in %g s"
+       paper_objects paper_seconds);
+  Collect.note_source Recovery.counters;
   let file_counts =
     List.map (fun b -> Util.scaled ~scale b) [ 10_000; 100_000; 1_000_000 ]
     |> List.sort_uniq compare
   in
+  let per_worker name = List.map (Printf.sprintf "%s_w%d" name) worker_counts in
+  Report.table ~title
+    ~columns:
+      ([ "dirs"; "seq_wall_s" ] @ per_worker "model_s" @ per_worker "speedup"
+     @ [ "checker_violations" ]);
   Printf.printf
     "%-9s %-6s | %-9s %-9s | %s | %s\n" "files" "dirs" "wall(s)" "model(s)"
     "model seconds at w=1/2/4/8" "speedup";
+  let label p = Printf.sprintf "%d files" p.files in
   let points =
     List.map
       (fun files ->
@@ -143,13 +159,16 @@ let run ~scale =
           (String.concat " " (List.map (Printf.sprintf "%5.2f") p.speedup))
           (if p.checker_violations = 0 then "clean"
            else Printf.sprintf "%d VIOLATIONS" p.checker_violations);
-        tally
+        Report.row (label p)
+          ([ float_of_int p.dirs; p.seq_wall_s ] @ p.model_s @ p.speedup
+         @ [ float_of_int p.checker_violations ]);
+        Report.counter
           (Printf.sprintf "recovery/model_s_files%d" p.files)
           p.seq_model_s;
-        tally
+        Report.counter
           (Printf.sprintf "recovery/speedup_w8_files%d" p.files)
           (List.nth p.speedup (List.length p.speedup - 1));
-        tally "recovery/checker_violations"
+        Report.counter "recovery/checker_violations"
           (float_of_int p.checker_violations);
         p)
       file_counts
@@ -165,45 +184,35 @@ let run ~scale =
     (float_of_int paper_objects /. rate)
     paper_seconds
     (List.nth last.speedup (List.length last.speedup - 1));
-
-  (* --- BENCH_recovery.json --------------------------------------------- *)
-  let oc = open_out "BENCH_recovery.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let floats l = String.concat ", " (List.map (Printf.sprintf "%.6f") l) in
-  out "{\n  \"schema\": \"simurgh-recovery-v1\",\n";
-  out "  \"run\": \"recovery\",\n  \"scale\": %g,\n" scale;
-  out "  \"worker_counts\": [%s],\n"
-    (String.concat ", " (List.map string_of_int worker_counts));
-  out "  \"paper_anchor\": {\"objects\": %d, \"seconds\": %g},\n"
-    paper_objects paper_seconds;
-  out
-    "  \"note\": \"model_s: virtual-time seconds of Recovery.run under the \
-     work-pool vtime driver at each worker count (dependent metadata line \
-     fetches at NVMM latency/MLP, bulk segment scans at streaming \
-     bandwidth, sequential phases on worker 0); seq_wall_s: host \
-     wall-clock of the plain sequential run, sanity anchor only; speedup: \
-     model_s[w=1] / model_s[w]\",\n";
-  out "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      out "    {\"files\": %d, \"dirs\": %d,\n" p.files p.dirs;
-      out "     \"seq_wall_s\": %.6f, \"seq_model_s\": %.6f,\n" p.seq_wall_s
-        p.seq_model_s;
-      out "     \"model_s\": [%s],\n" (floats p.model_s);
-      out "     \"speedup\": [%s],\n" (floats p.speedup);
-      out "     \"checker_violations\": %d,\n" p.checker_violations;
+  Report.table
+    ~title:
+      (Printf.sprintf "recovery: Recovery.report of the w=%d run"
+         (List.nth worker_counts (List.length worker_counts - 1)))
+    ~columns:
+      [
+        "files";
+        "dirs";
+        "reclaimed_inodes";
+        "reclaimed_fentries";
+        "quarantined";
+        "resolve_passes";
+        "mark_tasks";
+        "sweep_tasks";
+      ];
+  List.iter
+    (fun p ->
       let r = p.report in
-      out
-        "     \"report\": {\"files\": %d, \"dirs\": %d, \
-         \"reclaimed_inodes\": %d, \"reclaimed_fentries\": %d, \
-         \"quarantined\": %d, \"resolve_passes\": %d, \"mark_tasks\": %d, \
-         \"sweep_tasks\": %d}}%s\n"
-        r.Recovery.files r.Recovery.dirs r.Recovery.reclaimed_inodes
-        r.Recovery.reclaimed_fentries r.Recovery.quarantined
-        r.Recovery.resolve_passes r.Recovery.mark_tasks
-        r.Recovery.sweep_tasks
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_recovery.json\n"
+      Report.row (label p)
+        (List.map float_of_int
+           Recovery.
+             [
+               r.files;
+               r.dirs;
+               r.reclaimed_inodes;
+               r.reclaimed_fentries;
+               r.quarantined;
+               r.resolve_passes;
+               r.mark_tasks;
+               r.sweep_tasks;
+             ]))
+    points

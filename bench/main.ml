@@ -8,10 +8,11 @@
       dune exec bench/main.exe -- --json out fig7a fig10
       dune exec bench/main.exe -- --list
 
-    With [--json DIR], each experiment additionally writes
-    [DIR/BENCH_<id>.json]: the printed tables plus the merged
-    observability snapshot (per-op latency percentiles, per-site lock
-    contention, region/allocator counters).  Schema: "simurgh-bench-v1",
+    With [--json DIR], each experiment writes [DIR/BENCH_<id>.json]:
+    the printed tables, notes and counters plus the merged observability
+    snapshot (per-op latency percentiles, per-site lock contention,
+    region/allocator counters).  Without it nothing is written; [--json .]
+    refreshes the committed files.  Schema: "simurgh-bench-v1",
     documented in DESIGN.md. *)
 
 module Obs = Simurgh_obs
@@ -35,20 +36,17 @@ let experiments : (string * string * (scale:float -> unit)) list =
      Exp_sched.run);
     ("ablation", "ablations of Simurgh design choices", Exp_ablation.run);
     ("bechamel", "wall-clock hot paths (host CPU)", Exp_bechamel.run);
-    ("region", "NVMM region data-path microbenchmark (wall-clock, JSON)",
+    ("region", "NVMM region data-path microbenchmark (wall-clock)",
      Exp_region.run);
-    ("scale", "metadata scalability: seed vs striped/cached Simurgh (JSON)",
+    ("scale", "metadata scalability: seed vs striped/cached Simurgh",
      Exp_scale.run);
-    ("data", "data-path scaling: byte-range locks + open-loop tail latency (JSON)",
+    ("data", "data-path scaling: byte-range locks + open-loop tail latency",
      Exp_data.run);
-    ("recovery",
-     "recovery time vs file count + parallel-sweep speedup (JSON)",
+    ("recovery", "recovery time vs file count + parallel-sweep speedup",
      Exp_recovery.run);
-    ("numa",
-     "multi-region NVMM: bandwidth scaling + cross-socket surcharge (JSON)",
+    ("numa", "multi-region NVMM: bandwidth scaling + cross-socket surcharge",
      Exp_numa.run);
-    ("secure",
-     "security plane: plain vs protected entry vs full enforcement (JSON)",
+    ("secure", "security plane: plain vs protected entry vs full enforcement",
      Exp_secure.run);
   ]
 

@@ -20,12 +20,13 @@ let print_series fmt values =
   List.iter (fun v -> Printf.printf fmt v) values;
   print_newline ()
 
-let print_thread_header () =
+(** Print the thread-count heading under the last {!header} and open a
+    report table of the same title with one [t<n>] column per count. *)
+let print_thread_header counts =
   Report.table ~title:!last_header
-    ~columns:(List.map (Printf.sprintf "t%d") thread_counts);
-  Printf.printf "%-18s" "threads";
-  List.iter (fun t -> Printf.printf " %9d" t) thread_counts;
-  print_newline ()
+    ~columns:(List.map (Printf.sprintf "t%d") counts);
+  row_header "threads";
+  print_series " %9d" counts
 
 (** Print one labeled row and mirror it into the current report table. *)
 let series name fmt values =

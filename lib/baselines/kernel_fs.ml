@@ -116,7 +116,7 @@ let create ?(region = 0) profile =
   (* fold dcache effectiveness into the active experiment's snapshot
      (no-op outside the bench driver), mirroring what the Simurgh side
      reports as rcache/* *)
-  Simurgh_obs.Collect.note_source (fun () ->
+  Simurgh_obs.Collect.note_source ~owner:t (fun () ->
       let hits, misses = Simurgh_vfs.Dcache.stats t.dcache in
       [
         ("dcache/hits", float_of_int hits);

@@ -222,7 +222,7 @@ let of_layout ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000)
   in
   (* lock-registry sizes and allocator counters join the experiment's
      observability snapshot (no-op outside the bench driver) *)
-  Simurgh_obs.Collect.note_source (fun () ->
+  Simurgh_obs.Collect.note_source ~owner:fs (fun () ->
       let rows, files, appends = Locks.sizes fs.locks in
       let range_rows, file_states = Locks.range_sizes fs.locks in
       let ba = Simurgh_alloc.Block_alloc.stats layout.Layout.balloc in

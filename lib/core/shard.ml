@@ -69,7 +69,7 @@ let note_alloc_sources ~prefix t =
     (fun i fs ->
       let balloc = (Fs.layout fs).Layout.balloc in
       let name = Printf.sprintf "%s%d/alloc" prefix i in
-      Simurgh_obs.Collect.note_source ~name (fun () ->
+      Simurgh_obs.Collect.note_source ~name ~owner:fs (fun () ->
           let s = Simurgh_alloc.Block_alloc.stats balloc in
           [
             (name ^ "/blocks_allocated", float_of_int s.blocks_allocated);

@@ -87,6 +87,7 @@ type t = {
 }
 
 let create ?(mode = Fast) ?name size =
+  Simurgh_obs.Collect.reclaim ();
   let t =
     {
       image = Bytes.make size '\000';
@@ -119,7 +120,7 @@ let create ?(mode = Fast) ?name size =
      regions under one name is an error
      ({!Simurgh_obs.Collect.Duplicate_source}). *)
   let prefix = match name with None -> "region" | Some n -> n in
-  Simurgh_obs.Collect.note_source ?name (fun () ->
+  Simurgh_obs.Collect.note_source ?name ~owner:t (fun () ->
       let c k = prefix ^ "/" ^ k in
       let f k = match name with None -> "faults/" ^ k | Some n -> n ^ "/faults/" ^ k in
       [

@@ -48,8 +48,13 @@ let note_run r =
     the current collector — a second registration under the same name
     raises {!Duplicate_source}, catching the two-live-regions (or
     two-machines) shadowing bug instead of silently merging streams
-    that were meant to stay apart. *)
-let note_source ?name f =
+    that were meant to stay apart.
+
+    An [~owner]ed source does not keep its owner alive: the collector
+    holds [f] through an ephemeron keyed on [owner] and samples it one
+    last time when [owner] is finalised, so an experiment that churns
+    hundreds of regions retains their counters, not their images. *)
+let note_source ?name ?owner f =
   match !current with
   | None -> ()
   | Some c ->
@@ -58,7 +63,30 @@ let note_source ?name f =
       | Some n ->
           if Hashtbl.mem c.named n then raise (Duplicate_source n);
           Hashtbl.replace c.named n ());
+      let f =
+        match owner with
+        | None -> f
+        | Some o ->
+            let key = Weak.create 1 in
+            Weak.set key 0 (Some o);
+            let eph = Ephemeron.K1.make o f in
+            let last = ref [] in
+            Gc.finalise
+              (fun o ->
+                Option.iter (fun f -> last := f ()) (Ephemeron.K1.query eph o))
+              o;
+            fun () ->
+              match Option.bind (Weak.get key 0) (Ephemeron.K1.query eph) with
+              | Some f -> f ()
+              | None -> !last
+      in
       c.sources <- f :: c.sources
+
+(** Take the last samples of owners that died since the previous call
+    and free them.  A finalised owner otherwise lingers for several
+    major cycles, so an allocation as large as a region image calls this
+    first; a no-op without a collector. *)
+let reclaim () = if !current <> None then Gc.full_major ()
 
 (** Merge all registered runs and sampled sources into one fresh run,
     then uninstall the collector. *)

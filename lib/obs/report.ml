@@ -2,8 +2,9 @@
 
     Experiments keep printing their human-readable tables exactly as
     before; the bench helpers mirror every table row in here, and at the
-    end of the experiment [finish ~dir] serializes the tables plus the
-    merged observability snapshot to [BENCH_<id>.json].  When no
+    end of the experiment [finish ~dir] serializes the tables, notes and
+    experiment counters plus the merged observability snapshot to
+    [BENCH_<id>.json] — the one writer of every BENCH file.  When no
     experiment is active (library/test use) every call is a no-op.
 
     Schema ("simurgh-bench-v1") — see DESIGN.md "Observability":
@@ -35,11 +36,15 @@ type exp = {
   id : string;
   mutable tables : table list;  (** reversed; head = current *)
   mutable notes : string list;  (** reversed *)
+  counters : Metrics.t;
 }
 
 let current : exp option ref = ref None
 
-let begin_exp id = current := Some { id; tables = []; notes = [] }
+let begin_exp id =
+  current :=
+    Some { id; tables = []; notes = []; counters = Metrics.create () }
+
 let active () = !current <> None
 
 (** Open a new table; subsequent [row] calls append to it. *)
@@ -64,6 +69,11 @@ let row label values =
 
 let note s =
   match !current with Some e -> e.notes <- s :: e.notes | None -> ()
+
+(** Add [v] to the experiment-level counter [name], exported among the
+    obs counters (repeated names sum, like same-named sources). *)
+let counter name v =
+  match !current with Some e -> Metrics.add e.counters name v | None -> ()
 
 let table_to_json t =
   Json.Obj
@@ -99,6 +109,7 @@ let finish ~dir ~scale ~obs =
   | None -> None
   | Some e ->
       current := None;
+      Metrics.merge_into obs.Run.counters e.counters;
       let path = Filename.concat dir ("BENCH_" ^ sanitize e.id ^ ".json") in
       let doc =
         Json.Obj

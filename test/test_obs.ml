@@ -261,6 +261,125 @@ let test_collect_region_namespacing () =
   Alcotest.(check (float 1e-9)) "no region/loads" 0.0
     (Metrics.get run.Run.counters "region/loads")
 
+(* An owned source must not keep its owner alive, yet the counters the
+   owner accumulated before it died still reach the snapshot. *)
+type owner = { mutable n : int }
+
+(* Register a source owned by a fresh record, count to 42 and drop the
+   record; [alive] observes it weakly. *)
+let[@inline never] note_dropped_owner alive =
+  let o = { n = 0 } in
+  Weak.set alive 0 (Some o);
+  Collect.note_source ~owner:o (fun () -> [ ("own/n", float_of_int o.n) ]);
+  o.n <- 42
+
+let test_collect_owned_source () =
+  Collect.install ();
+  let alive = Weak.create 1 in
+  note_dropped_owner alive;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "owner released" true (Weak.get alive 0 = None);
+  let live = { n = 7 } in
+  Collect.note_source ~owner:live (fun () -> [ ("own/n", float_of_int live.n) ]);
+  let run = Collect.drain () in
+  Alcotest.(check (float 1e-9)) "dead + live owner" 49.0
+    (Metrics.get run.Run.counters "own/n");
+  ignore (Sys.opaque_identity live)
+
+(* --- report -------------------------------------------------------------- *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "simurgh_report" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let find hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then None
+    else if String.sub hay i nn = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* [needles] all occur in [doc], in this order. *)
+let check_in_order doc needles =
+  ignore
+    (List.fold_left
+       (fun from needle ->
+         match find doc needle with
+         | Some i ->
+             if i < from then Alcotest.failf "%S out of order" needle;
+             i
+         | None -> Alcotest.failf "%S missing" needle)
+       0 needles)
+
+let test_report_finish () =
+  with_temp_dir (fun dir ->
+      Report.begin_exp "exp-x";
+      Collect.install ();
+      Collect.note_source (fun () -> [ ("src/x", 3.0) ]);
+      Report.table ~title:"first" ~columns:[ "a"; "b" ];
+      Report.row "r1" [ 1.0; 2.0 ];
+      Report.row "r2" [ 3.0; 4.5 ];
+      Report.note "note one";
+      Report.table ~title:"second" ~columns:[ "c" ];
+      Report.row "r3" [ 6.0 ];
+      Report.note "note two";
+      Report.counter "exp/k" 1.0;
+      Report.counter "exp/k" 2.0;
+      let path = Report.finish ~dir ~scale:0.5 ~obs:(Collect.drain ()) in
+      let expect = Filename.concat dir "BENCH_exp-x.json" in
+      Alcotest.(check (option string)) "path" (Some expect) path;
+      Alcotest.(check (array string)) "only file" [| "BENCH_exp-x.json" |]
+        (Sys.readdir dir);
+      Alcotest.(check bool) "closed" false (Report.active ());
+      let doc = In_channel.with_open_text expect In_channel.input_all in
+      check_in_order doc
+        [
+          {|"schema": "simurgh-bench-v1"|};
+          {|"run": "exp-x"|};
+          {|"scale": 0.5|};
+          {|"title": "first"|};
+          {|"label": "r1"|};
+          {|"label": "r2"|};
+          "4.5";
+          {|"title": "second"|};
+          {|"label": "r3"|};
+          {|"notes"|};
+          {|"note one"|};
+          {|"note two"|};
+          {|"counters"|};
+          {|"exp/k": 3|};
+          {|"src/x": 3|};
+        ])
+
+let test_report_inactive () =
+  with_temp_dir (fun dir ->
+      Report.discard ();
+      Report.table ~title:"t" ~columns:[ "a" ];
+      Report.ensure_table ~title:"t" ~columns:[ "a" ];
+      Report.row "r" [ 1.0 ];
+      Report.note "n";
+      Report.counter "k" 1.0;
+      Alcotest.(check bool) "inactive" false (Report.active ());
+      Alcotest.(check (option string)) "no path" None
+        (Report.finish ~dir ~scale:1.0 ~obs:(Run.create ()));
+      Alcotest.(check int) "nothing written" 0 (Array.length (Sys.readdir dir)))
+
+let test_report_sanitize () =
+  with_temp_dir (fun dir ->
+      Report.begin_exp "tab2+fig8";
+      Alcotest.(check (option string)) "sanitized"
+        (Some (Filename.concat dir "BENCH_tab2_fig8.json"))
+        (Report.finish ~dir ~scale:1.0 ~obs:(Run.create ()));
+      Alcotest.(check bool) "exists" true
+        (Sys.file_exists (Filename.concat dir "BENCH_tab2_fig8.json")))
+
 (* --- cli ----------------------------------------------------------------- *)
 
 let known = [ "fig7"; "fig9"; "tab1" ]
@@ -331,6 +450,14 @@ let () =
             test_collect_named_source_duplicate;
           Alcotest.test_case "per-region namespacing" `Quick
             test_collect_region_namespacing;
+          Alcotest.test_case "owned source outlives owner" `Quick
+            test_collect_owned_source;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "finish writes one file" `Quick test_report_finish;
+          Alcotest.test_case "no-op when inactive" `Quick test_report_inactive;
+          Alcotest.test_case "id sanitized" `Quick test_report_sanitize;
         ] );
       ( "cli",
         [
