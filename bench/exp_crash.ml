@@ -38,74 +38,35 @@ module Region = Simurgh_nvmm.Region
 module Slab = Simurgh_alloc.Slab_alloc
 module Obs = Simurgh_obs
 
-exception Crash_now
+(* The Fig. 5 state machines as (setup, op) pairs. *)
+let create = ((fun fs -> Fs.mkdir fs "/d"), fun fs -> Fs.create_file fs "/d/f")
 
-let ops =
-  [
-    ( "create",
-      false,
-      (fun fs -> Fs.mkdir fs "/d"),
-      fun fs -> Fs.create_file fs "/d/f" );
-    ( "unlink",
-      false,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/f"),
-      fun fs -> Fs.unlink fs "/d/f" );
-    ( "rename",
-      false,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old"),
-      fun fs -> Fs.rename fs "/d/old" "/d/new" );
-    ( "cross-rename",
-      false,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m"),
-      fun fs -> Fs.rename fs "/d/m" "/e/m2" );
-    (* the same Fig. 5 state machines with the scalability features on:
-       the striped insert (reserve/busy/grow), the reserve-then-log
-       rename window and the per-thread allocator caches must leave
-       every crash image recoverable too *)
-    ( "striped-create",
-      true,
-      (fun fs -> Fs.mkdir fs "/d"),
-      fun fs -> Fs.create_file fs "/d/f" );
-    ( "striped-rename",
-      true,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old"),
-      fun fs -> Fs.rename fs "/d/old" "/d/new" );
-    ( "striped-xrename",
-      true,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m"),
-      fun fs -> Fs.rename fs "/d/m" "/e/m2" );
-  ]
+let unlink =
+  ( (fun fs ->
+      Fs.mkdir fs "/d";
+      Fs.create_file fs "/d/f"),
+    fun fs -> Fs.unlink fs "/d/f" )
 
-(* The two rename state machines again on log-ring media (per-directory
-   ring of rename-log slots, scaled format): a crash may now leave any
-   slot of the ring pending, and every image must still recover to an
-   empty ring. *)
-let ring_ops =
-  [
-    ( "ring-rename",
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old"),
-      fun fs -> Fs.rename fs "/d/old" "/d/new" );
-    ( "ring-xrename",
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m"),
-      fun fs -> Fs.rename fs "/d/m" "/e/m2" );
-  ]
+let rename =
+  ( (fun fs ->
+      Fs.mkdir fs "/d";
+      Fs.create_file fs "/d/old"),
+    fun fs -> Fs.rename fs "/d/old" "/d/new" )
+
+let xrename =
+  ( (fun fs ->
+      Fs.mkdir fs "/d";
+      Fs.mkdir fs "/e";
+      Fs.create_file fs "/d/m"),
+    fun fs -> Fs.rename fs "/d/m" "/e/m2" )
+
+(* The volumes they run on: the seed format, the scaled one, and the
+   scaled one with a 4-slot rename-log ring or byte-range data-path
+   locking, all on two cores. *)
+let seed_fs = Explore.seed_fs ~cores:2
+let scaled_fs = Explore.scaled_fs ~cores:2 ~range_locks:false ~log_ring:0
+let ring_fs = Explore.scaled_fs ~cores:2 ~range_locks:false ~log_ring:4
+let range_fs = Explore.scaled_fs ~cores:2 ~range_locks:true ~log_ring:0
 
 (* Crash exploration of the byte-range data path: the staged
    (batched-writeback) extent window and the append/extend publish
@@ -136,43 +97,60 @@ let one_page_setup fs =
   ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make page 'a'));
   Fs.close fs fd
 
-let range_ops =
+let append =
+  ( one_page_setup,
+    fun fs ->
+      let fd = Fs.openf fs Types.rdwr "/f" in
+      ignore (Fs.append fs fd (Bytes.make page 'b'));
+      Fs.close fs fd )
+
+let append_verify fs =
+  let got = read_file fs "/f" in
+  (match Bytes.length got with
+  | n when n = page -> ()
+  | n when n = 2 * page ->
+      expect_uniform got ~pos:page ~len:page 'b' ~what:"published append bytes"
+  | n -> failwith (Printf.sprintf "size %d, want %d or %d" n page (2 * page)));
+  expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix"
+
+let extend =
+  ( one_page_setup,
+    fun fs ->
+      let fd = Fs.openf fs Types.rdwr "/f" in
+      ignore (Fs.pwrite fs fd ~pos:(2 * page) (Bytes.make page 'c'));
+      Fs.close fs fd )
+
+let extend_verify fs =
+  let got = read_file fs "/f" in
+  (match Bytes.length got with
+  | n when n = page -> ()
+  | n when n = 3 * page ->
+      expect_uniform got ~pos:page ~len:page '\000' ~what:"hole";
+      expect_uniform got ~pos:(2 * page) ~len:page 'c'
+        ~what:"published extend bytes"
+  | n -> failwith (Printf.sprintf "size %d, want %d or %d" n page (3 * page)));
+  expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix"
+
+(* Every single-region machine: (name, format, (setup, op), verify).  The
+   scaled ones leave no directory, inode or data object different, so
+   every image must recover identically; the striped insert
+   (reserve/busy/grow), the reserve-then-log rename window and the
+   per-thread allocator caches must leave every crash image recoverable
+   too.  On log-ring media a crash may leave any slot of the ring
+   pending, and every image must still recover to an empty ring. *)
+let machines =
   [
-    ( "range-append",
-      one_page_setup,
-      (fun fs ->
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        ignore (Fs.append fs fd (Bytes.make page 'b'));
-        Fs.close fs fd),
-      fun fs ->
-        let got = read_file fs "/f" in
-        (match Bytes.length got with
-        | n when n = page -> ()
-        | n when n = 2 * page ->
-            expect_uniform got ~pos:page ~len:page 'b'
-              ~what:"published append bytes"
-        | n ->
-            failwith
-              (Printf.sprintf "size %d, want %d or %d" n page (2 * page)));
-        expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix" );
-    ( "range-extend",
-      one_page_setup,
-      (fun fs ->
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        ignore (Fs.pwrite fs fd ~pos:(2 * page) (Bytes.make page 'c'));
-        Fs.close fs fd),
-      fun fs ->
-        let got = read_file fs "/f" in
-        (match Bytes.length got with
-        | n when n = page -> ()
-        | n when n = 3 * page ->
-            expect_uniform got ~pos:page ~len:page '\000' ~what:"hole";
-            expect_uniform got ~pos:(2 * page) ~len:page 'c'
-              ~what:"published extend bytes"
-        | n ->
-            failwith
-              (Printf.sprintf "size %d, want %d or %d" n page (3 * page)));
-        expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix" );
+    ("create", seed_fs, create, None);
+    ("unlink", seed_fs, unlink, None);
+    ("rename", seed_fs, rename, None);
+    ("cross-rename", seed_fs, xrename, None);
+    ("striped-create", scaled_fs, create, None);
+    ("striped-rename", scaled_fs, rename, None);
+    ("striped-xrename", scaled_fs, xrename, None);
+    ("ring-rename", ring_fs, rename, None);
+    ("ring-xrename", ring_fs, xrename, None);
+    ("range-append", range_fs, append, Some append_verify);
+    ("range-extend", range_fs, extend, Some extend_verify);
   ]
 
 (* Multi-region (sharded) exploration: cross-region renames and creates
@@ -291,18 +269,9 @@ let run ~scale =
       st.Explore.failures
   in
   List.iter
-    (fun (name, scaled, setup, op) ->
-      tally name (Explore.run ~samples ~scaled ~setup ~op ()))
-    ops;
-  List.iter
-    (fun (name, setup, op) ->
-      tally name (Explore.run ~samples ~scaled:true ~ring:4 ~setup ~op ()))
-    ring_ops;
-  List.iter
-    (fun (name, setup, op, verify) ->
-      tally name
-        (Explore.run ~samples ~scaled:true ~range:true ~setup ~op ~verify ()))
-    range_ops;
+    (fun (name, format, (setup, op), verify) ->
+      tally name (Explore.run ~samples ~format ?verify ~setup ~op ()))
+    machines;
   List.iter
     (fun (name, setup, op, verify) ->
       tally name (Explore.run_multi ~samples ~regions:2 ~setup ~op ?verify ()))
@@ -385,8 +354,9 @@ let fsck () =
   done;
   Fs.create_file fs "/d/m";
   Fs.set_crash_hook fs (fun l ->
-      if l = "xrename:dstslot" then raise Crash_now);
-  (try Fs.rename fs "/d/m" "/e/m" with Crash_now -> Region.crash region);
+      if l = "xrename:dstslot" then raise Explore.Crash_now);
+  (try Fs.rename fs "/d/m" "/e/m"
+   with Explore.Crash_now -> Region.crash region);
   Region.clear_guard region;
   let _ = Recovery.run ~skip_log_resolution:true region in
   let negative = Check.run region in
@@ -406,8 +376,10 @@ let fsck () =
   let rfs = Fs.mkfs ~euid:0 ~log_ring:4 ring_region in
   Fs.mkdir rfs "/d";
   Fs.create_file rfs "/d/m";
-  Fs.set_crash_hook rfs (fun l -> if l = "rename:swap" then raise Crash_now);
-  (try Fs.rename rfs "/d/m" "/d/n" with Crash_now -> Region.crash ring_region);
+  Fs.set_crash_hook rfs (fun l ->
+      if l = "rename:swap" then raise Explore.Crash_now);
+  (try Fs.rename rfs "/d/m" "/d/n"
+   with Explore.Crash_now -> Region.crash ring_region);
   Region.clear_guard ring_region;
   let _ = Recovery.run ring_region in
   let ring_clean = Check.run ring_region in

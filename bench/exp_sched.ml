@@ -56,6 +56,40 @@ let print_stats (st : Sched.stats) =
    trees anyway and the rest is seeded sampling. *)
 let budget_of ~scale = max 24 (int_of_float (120.0 *. scale))
 
+(* The gated scenarios: every one must be schedule-invariant, fsck-clean
+   and race-free. *)
+let gated =
+  Sched.default_scenarios ~threads:2
+  @ Sched.striped_scenarios ~threads:2
+  @ Sched.data_scenarios ~threads:2
+  @ Sched.ring_scenarios ~threads:2
+
+(* Parallel recovery: fiber-mode mark-and-sweep over a crashed image
+   (and a poisoned variant) must be schedule-independent — identical
+   durable media and report under every worker interleaving — plus
+   fsck-clean and race-free.  Prints each run ([yields] adds its
+   preemption-point count) and hands it to [k]. *)
+let recovery_runs ~budget ~yields k =
+  List.iter
+    (fun poison ->
+      let st = Sched.recovery_run ~budget:(max 8 (budget / 4)) ~poison () in
+      Printf.printf
+        "  %-11s %4d schedules (%4d distinct)%s, oracle failures %d, races \
+         %d\n"
+        st.Sched.rscenario st.Sched.rschedules st.Sched.rdistinct
+        (if yields then Printf.sprintf ", %6d yield points" st.Sched.ryields
+         else "")
+        (List.length st.Sched.rfailures)
+        (List.length st.Sched.rraces);
+      List.iter
+        (fun (label, detail) -> Printf.printf "    FAIL %s: %s\n" label detail)
+        st.Sched.rfailures;
+      List.iter
+        (fun r -> Printf.printf "    RACE %s\n" (Race.report_to_string r))
+        st.Sched.rraces;
+      k st)
+    [ false; true ]
+
 let run ~scale =
   Util.header
     "sched: schedule exploration + happens-before race detection";
@@ -80,38 +114,14 @@ let run ~scale =
       races := !races + List.length st.Sched.races;
       lines := max !lines st.Sched.lines_tracked;
       accesses := !accesses + st.Sched.accesses)
-    (Sched.default_scenarios ~threads:2 @ Sched.striped_scenarios ~threads:2
-    @ Sched.data_scenarios ~threads:2 @ Sched.ring_scenarios ~threads:2);
-  (* parallel recovery: fiber-mode mark-and-sweep over a crashed image
-     (and a poisoned variant) must be schedule-independent — identical
-     durable media and report under every worker interleaving — plus
-     fsck-clean and race-free *)
+    gated;
   let rec_failures = ref 0 and rec_races = ref 0 in
-  List.iter
-    (fun poison ->
-      let st =
-        Sched.recovery_run ~budget:(max 8 (budget / 4)) ~poison ()
-      in
-      Printf.printf
-        "  %-11s %4d schedules (%4d distinct), %6d yield points, oracle \
-         failures %d, races %d\n"
-        st.Sched.rscenario st.Sched.rschedules st.Sched.rdistinct
-        st.Sched.ryields
-        (List.length st.Sched.rfailures)
-        (List.length st.Sched.rraces);
-      List.iter
-        (fun (label, detail) ->
-          Printf.printf "    FAIL %s: %s\n" label detail)
-        st.Sched.rfailures;
-      List.iter
-        (fun r -> Printf.printf "    RACE %s\n" (Race.report_to_string r))
-        st.Sched.rraces;
+  recovery_runs ~budget ~yields:true (fun st ->
       rec_failures := !rec_failures + List.length st.Sched.rfailures;
       rec_races := !rec_races + List.length st.Sched.rraces;
       schedules := !schedules + st.Sched.rschedules;
       distinct := !distinct + st.Sched.rdistinct;
-      yields := !yields + st.Sched.ryields)
-    [ false; true ];
+      yields := !yields + st.Sched.ryields);
   failures := !failures + !rec_failures;
   races := !races + !rec_races;
   (* informational: cross-thread traffic in one shared directory *)
@@ -166,33 +176,17 @@ let selfcheck ~scale () =
           st.Sched.scenario st.Sched.distinct;
         incr bad
       end)
-    (Sched.default_scenarios ~threads:2 @ Sched.striped_scenarios ~threads:2
-    @ Sched.data_scenarios ~threads:2 @ Sched.ring_scenarios ~threads:2);
-  (* parallel recovery must hold the same bar: schedule-independent
-     media, clean fsck, zero races, several distinct interleavings *)
-  List.iter
-    (fun poison ->
-      let st =
-        Sched.recovery_run ~budget:(max 8 (budget / 4)) ~poison ()
-      in
-      Printf.printf
-        "  %-11s %4d schedules (%4d distinct), oracle failures %d, races \
-         %d\n"
-        st.Sched.rscenario st.Sched.rschedules st.Sched.rdistinct
-        (List.length st.Sched.rfailures)
-        (List.length st.Sched.rraces);
-      List.iter
-        (fun (label, detail) ->
-          Printf.printf "    FAIL %s: %s\n" label detail)
-        st.Sched.rfailures;
+    gated;
+  (* parallel recovery must hold the same bar, with several distinct
+     interleavings *)
+  recovery_runs ~budget ~yields:false (fun st ->
       if st.Sched.rfailures <> [] || st.Sched.rraces <> [] then incr bad;
       if st.Sched.rdistinct < 2 then begin
         Printf.printf
           "    FAIL %s: only %d distinct interleaving(s) explored\n"
           st.Sched.rscenario st.Sched.rdistinct;
         incr bad
-      end)
-    [ false; true ];
+      end);
   let neg = Sched.negative_control () in
   Printf.printf "races: negative control (unlocked stores): %s\n"
     (if neg <> [] then

@@ -47,17 +47,10 @@ module Sthread = Simurgh_sim.Sthread
 type scenario = {
   name : string;
   threads : int;
-  scaled : bool;
-      (** format with the scalability features on (striped locks,
-          per-thread allocator caches, resolve cache) — the correctness
-          gate for the striped shared-directory paths *)
-  range : bool;
-      (** format with byte-range data-path locking — the correctness
-          gate for the range/append/publish protocols *)
-  ring : int;
-      (** format with a rename-log ring of this many slots (0 = legacy
-          single slot) — the correctness gate for concurrent renames
-          claiming independent log slots of one directory *)
+  format : Region.t -> Fs.t;
+      (** formats the scenario's volume: its features are the
+          configuration under test (see {!Explore.scaled_fs}), and
+          every mount reads them back from the superblock *)
   invariant : bool;
       (** assert the namespace snapshot identical across schedules.
           Off for scenarios whose outcome legitimately depends on the
@@ -109,26 +102,69 @@ let rec snapshot_dir fs path acc =
 
 let snapshot fs = String.concat "\n" (List.rev (snapshot_dir fs "/" []))
 
-let default_size = 4 lsl 20
+let default_size = Explore.default_size
+
+(* --- the race watch ---------------------------------------------------- *)
+
+(* Race reports deduplicated by (line, site pair) across every run of
+   one exploration. *)
+type watch = {
+  seen : (int * string * string, unit) Hashtbl.t;
+  mutable found : Race.report list;  (** newest first *)
+}
+
+let new_watch () = { seen = Hashtbl.create 16; found = [] }
+
+(* [watched w race region ~balloc f] runs [f ()] with [race] watching
+   every access to [region]: a write yields to the scheduler before the
+   bytes change (so another thread can slip in between intent and
+   store) and is recorded atomically with it; an sfence is a persist
+   point and a sync edge.  The block allocator's persistent segment lock
+   words ([balloc]) are read lock-free by the crash-detection scan —
+   synchronization internals, not data — and excluded.  Whatever [f]
+   does, the hooks come off and the run's reports are merged into [w]. *)
+let watched w race region ~balloc f =
+  Option.iter
+    (fun b ->
+      Simurgh_alloc.Block_alloc.iter_lock_words b (fun ~off ~len ->
+          Race.exclude race ~off ~len))
+    balloc;
+  Region.set_access_hook region (fun ~off ~len ~write ->
+      if write then Schedule.point Schedule.Store;
+      Race.on_access ~off ~len ~write);
+  Region.set_fence_hook region (fun () ->
+      Schedule.point Schedule.Persist;
+      Race.on_fence ());
+  Fun.protect
+    ~finally:(fun () ->
+      Region.clear_access_hook region;
+      Region.clear_fence_hook region;
+      List.iter
+        (fun (r : Race.report) ->
+          let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
+          if not (Hashtbl.mem w.seen k) then begin
+            Hashtbl.replace w.seen k ();
+            w.found <- r :: w.found
+          end)
+        (Race.reports race))
+    (fun () -> Race.with_active race f)
+
+let schedule_of ~seed j =
+  Schedule.random (Int64.add seed (Int64.of_int ((j * 7919) + 13)))
 
 (* --- the explorer ------------------------------------------------------ *)
 
 let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let threads = sc.threads in
   let region = Region.create size in
-  let fs0 =
-    Fs.mkfs ~cores:threads ~euid:0 ~striped_locks:sc.scaled ~rcache:sc.scaled
-      ~alloc_caches:sc.scaled ~range_locks:sc.range ~log_ring:sc.ring region
-  in
-  sc.setup fs0;
+  sc.setup (sc.format region);
   Region.persist_all region;
   let cp0 = Region.checkpoint region in
 
   let yields = ref 0 and switches = ref 0 in
   let hashes = Hashtbl.create (2 * budget) in
   let failures = ref [] in
-  let races = ref [] in
-  let race_seen = Hashtbl.create 16 in
+  let w = new_watch () in
   let lines_tracked = ref 0 and accesses = ref 0 in
   let reference = ref None in
   let schedules = ref 0 in
@@ -139,28 +175,16 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
     let fs = Explore.fresh_mount region in
     let machine = Machine.create () in
     let race = Race.create ~threads in
-    (* the block allocator's persistent segment lock words are read
-       lock-free by the crash-detection scan — synchronization
-       internals, not data *)
-    Simurgh_alloc.Block_alloc.iter_lock_words
-      (Fs.layout fs).Layout.balloc
-      (fun ~off ~len -> Race.exclude race ~off ~len);
-    Region.set_access_hook region (fun ~off ~len ~write ->
-        (* yield before the bytes change, so another thread can slip in
-           between intent and store — then record atomically with it *)
-        if write then Schedule.point Schedule.Store;
-        Race.on_access ~off ~len ~write);
-    Region.set_fence_hook region (fun () ->
-        Schedule.point Schedule.Persist;
-        Race.on_fence ());
-    let bodies =
-      Array.init threads (fun tid () ->
-          let thr = Sthread.create ~seed tid in
-          let ctx = Machine.ctx machine thr in
-          sc.body ~tid ~site:(fun s -> Race.set_site race ~tid s) fs ctx)
-    in
     (match
-       Race.with_active race (fun () -> Engine.explore ~schedule:policy bodies)
+       watched w race region ~balloc:(Some (Fs.layout fs).Layout.balloc)
+         (fun () ->
+           Engine.explore ~schedule:policy
+             (Array.init threads (fun tid () ->
+                  let thr = Sthread.create ~seed tid in
+                  let ctx = Machine.ctx machine thr in
+                  sc.body ~tid
+                    ~site:(fun s -> Race.set_site race ~tid s)
+                    fs ctx)))
      with
     | (o : Engine.explore_outcome) ->
         yields := !yields + o.Engine.yields;
@@ -169,18 +193,8 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
     | exception e ->
         failures := (label, "run: " ^ Printexc.to_string e) :: !failures;
         Hashtbl.replace hashes (Hashtbl.hash label) ());
-    Region.clear_access_hook region;
-    Region.clear_fence_hook region;
     lines_tracked := max !lines_tracked (Race.lines_tracked race);
     accesses := !accesses + Race.accesses race;
-    List.iter
-      (fun (r : Race.report) ->
-        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
-        if not (Hashtbl.mem race_seen k) then begin
-          Hashtbl.replace race_seen k ();
-          races := r :: !races
-        end)
-      (Race.reports race);
     (* oracles: same final namespace (when the scenario promises it),
        the scenario's own final-state predicate, clean fsck — on every
        schedule *)
@@ -232,9 +246,7 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let exhaustive = dfs_budget > 0 && Schedule.Dfs.exhausted dfs in
   let remaining = budget - !schedules in
   for j = 0 to remaining - 1 do
-    run_one
-      (Printf.sprintf "%s/rnd%d" sc.name j)
-      (Schedule.random (Int64.add seed (Int64.of_int ((j * 7919) + 13))))
+    run_one (Printf.sprintf "%s/rnd%d" sc.name j) (schedule_of ~seed j)
   done;
   {
     scenario = sc.name;
@@ -244,7 +256,7 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
     yields = !yields;
     switches = !switches;
     failures = List.rev !failures;
-    races = List.rev !races;
+    races = List.rev w.found;
     lines_tracked = !lines_tracked;
     accesses = !accesses;
   }
@@ -267,9 +279,7 @@ let create_scenario ~threads =
   {
     name = "create";
     threads;
-    scaled = false;
-    range = false;
-    ring = 0;
+    format = Explore.seed_fs ~cores:threads;
     invariant = true;
     check_final = None;
     setup = (fun fs -> mk_private_dirs threads fs);
@@ -284,9 +294,7 @@ let unlink_scenario ~threads =
   {
     name = "unlink";
     threads;
-    scaled = false;
-    range = false;
-    ring = 0;
+    format = Explore.seed_fs ~cores:threads;
     invariant = true;
     check_final = None;
     setup =
@@ -307,9 +315,7 @@ let rename_scenario ~threads =
   {
     name = "rename";
     threads;
-    scaled = false;
-    range = false;
-    ring = 0;
+    format = Explore.seed_fs ~cores:threads;
     invariant = true;
     check_final = None;
     setup =
@@ -332,9 +338,7 @@ let rw_scenario ~threads =
   {
     name = "read-write";
     threads;
-    scaled = false;
-    range = false;
-    ring = 0;
+    format = Explore.seed_fs ~cores:threads;
     invariant = true;
     check_final = None;
     setup =
@@ -376,9 +380,7 @@ let shared_scenario ~threads =
   {
     name = "shared-dir";
     threads;
-    scaled = false;
-    range = false;
-    ring = 0;
+    format = Explore.seed_fs ~cores:threads;
     invariant = true;
     check_final = None;
     setup = (fun fs -> Fs.mkdir fs "/s");
@@ -418,9 +420,7 @@ let striped_create_scenario ~threads =
   {
     name = "striped-create";
     threads;
-    scaled = true;
-    range = false;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0;
     invariant = true;
     check_final = None;
     setup = (fun fs -> Fs.mkdir fs "/s");
@@ -437,9 +437,7 @@ let striped_same_row_scenario ~threads =
   {
     name = "striped-row";
     threads;
-    scaled = true;
-    range = false;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0;
     invariant = true;
     check_final = None;
     setup = (fun fs -> Fs.mkdir fs "/s");
@@ -459,9 +457,7 @@ let striped_rename_scenario ~threads =
   {
     name = "striped-rename";
     threads;
-    scaled = true;
-    range = false;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0;
     invariant = true;
     check_final = None;
     setup =
@@ -484,9 +480,7 @@ let striped_xrename_scenario ~threads =
   {
     name = "striped-xrename";
     threads;
-    scaled = true;
-    range = false;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0;
     invariant = true;
     check_final = None;
     setup =
@@ -529,9 +523,7 @@ let ring_rename_scenario ~threads =
   {
     name = "ring-rename";
     threads;
-    scaled = true;
-    range = false;
-    ring = 4;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:4;
     invariant = true;
     check_final = None;
     setup =
@@ -554,9 +546,7 @@ let ring_xrename_scenario ~threads =
   {
     name = "ring-xrename";
     threads;
-    scaled = true;
-    range = false;
-    ring = 4;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:4;
     invariant = true;
     check_final = None;
     setup =
@@ -581,9 +571,7 @@ let ring_contention_scenario ~threads =
   {
     name = "ring-contention";
     threads;
-    scaled = true;
-    range = false;
-    ring = 1;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:1;
     invariant = true;
     check_final = None;
     setup =
@@ -644,9 +632,7 @@ let range_write_scenario ~threads =
   {
     name = "range-write";
     threads;
-    scaled = true;
-    range = true;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:true ~log_ring:0;
     invariant = true;
     check_final =
       Some
@@ -685,9 +671,7 @@ let range_overlap_scenario ~threads =
   {
     name = "range-rw";
     threads;
-    scaled = true;
-    range = true;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:true ~log_ring:0;
     invariant = true;
     check_final =
       Some
@@ -728,9 +712,7 @@ let range_append_scenario ~threads =
   {
     name = "range-append";
     threads;
-    scaled = true;
-    range = true;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:threads ~range_locks:true ~log_ring:0;
     invariant = true;
     check_final =
       Some
@@ -777,9 +759,7 @@ let range_append_truncate_scenario ~threads:_ =
   {
     name = "range-append-trunc";
     threads = 2;
-    scaled = true;
-    range = true;
-    ring = 0;
+    format = Explore.scaled_fs ~cores:2 ~range_locks:true ~log_ring:0;
     invariant = false;
     check_final =
       Some
@@ -908,8 +888,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
           ^ String.concat "; " (List.map Check.violation_to_string viols) )
         :: !failures);
 
-  let races = ref [] in
-  let race_seen = Hashtbl.create 16 in
+  let w = new_watch () in
   let hashes = Hashtbl.create (2 * budget) in
   let yields = ref 0 in
   let ref_norm = { ref_report with Recovery.vtime_cycles = 0.0 } in
@@ -918,28 +897,14 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     let label = Printf.sprintf "%s/rnd%d" name j in
     Region.restore region cp0;
     Fs.invalidate_shared region;
-    let race = Race.create ~threads:workers in
-    let layout = Layout.attach region in
-    Simurgh_alloc.Block_alloc.iter_lock_words layout.Layout.balloc
-      (fun ~off ~len -> Race.exclude race ~off ~len);
-    Region.set_access_hook region (fun ~off ~len ~write ->
-        if write then Schedule.point Schedule.Store;
-        Race.on_access ~off ~len ~write);
-    Region.set_fence_hook region (fun () ->
-        Schedule.point Schedule.Persist;
-        Race.on_fence ());
+    let balloc = Some (Layout.attach region).Layout.balloc in
     Workpool.fiber_outcomes := [];
-    let sched =
-      Schedule.random (Int64.add seed (Int64.of_int ((j * 7919) + 13)))
-    in
+    let schedule = schedule_of ~seed j in
     (match
-       Race.with_active race (fun () ->
-           Recovery.run ~par:(Recovery.Fibers { schedule = sched; workers })
-             region)
+       watched w (Race.create ~threads:workers) region ~balloc (fun () ->
+           Recovery.run ~par:(Recovery.Fibers { schedule; workers }) region)
      with
     | _, report ->
-        Region.clear_access_hook region;
-        Region.clear_fence_hook region;
         Region.persist_all region;
         if Region.media_digest region <> ref_digest then
           failures :=
@@ -959,18 +924,8 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
                     (List.map Check.violation_to_string viols) )
               :: !failures)
     | exception e ->
-        Region.clear_access_hook region;
-        Region.clear_fence_hook region;
         failures :=
           (label, "recovery raised " ^ Printexc.to_string e) :: !failures);
-    List.iter
-      (fun (r : Race.report) ->
-        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
-        if not (Hashtbl.mem race_seen k) then begin
-          Hashtbl.replace race_seen k ();
-          races := r :: !races
-        end)
-      (Race.reports race);
     let outs = !Workpool.fiber_outcomes in
     Workpool.fiber_outcomes := [];
     List.iter (fun (o : Engine.explore_outcome) ->
@@ -986,7 +941,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     rdistinct = Hashtbl.length hashes;
     ryields = !yields;
     rfailures = List.rev !failures;
-    rraces = List.rev !races;
+    rraces = List.rev w.found;
   }
 
 (* --- negative control --------------------------------------------------- *)
@@ -996,38 +951,18 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     (empty = the detector is broken). *)
 let negative_control ?(seed = 3L) ?(schedules = 8) () =
   let region = Region.create 4096 in
-  let all = ref [] in
-  let seen = Hashtbl.create 4 in
+  let w = new_watch () in
   for s = 0 to schedules - 1 do
     let race = Race.create ~threads:2 in
-    Region.set_access_hook region (fun ~off ~len ~write ->
-        if write then Schedule.point Schedule.Store;
-        Race.on_access ~off ~len ~write);
-    let bodies =
-      Array.init 2 (fun tid () ->
-          Race.set_site race ~tid (Printf.sprintf "racer%d" tid);
-          (* unsynchronized read-modify-write of the same word *)
-          let v = Region.read_u62 region 512 in
-          Region.write_u62 region 512 (v + tid + 1))
-    in
-    (try
-       ignore
-         (Race.with_active race (fun () ->
-              Engine.explore
-                ~schedule:
-                  (Schedule.random (Int64.add seed (Int64.of_int (s * 31))))
-                bodies))
-     with e ->
-       Region.clear_access_hook region;
-       raise e);
-    Region.clear_access_hook region;
-    List.iter
-      (fun (r : Race.report) ->
-        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.replace seen k ();
-          all := r :: !all
-        end)
-      (Race.reports race)
+    ignore
+      (watched w race region ~balloc:None (fun () ->
+           Engine.explore
+             ~schedule:
+               (Schedule.random (Int64.add seed (Int64.of_int (s * 31))))
+             (Array.init 2 (fun tid () ->
+                  Race.set_site race ~tid (Printf.sprintf "racer%d" tid);
+                  (* unsynchronized read-modify-write of the same word *)
+                  let v = Region.read_u62 region 512 in
+                  Region.write_u62 region 512 (v + tid + 1)))))
   done;
-  List.rev !all
+  List.rev w.found

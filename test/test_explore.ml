@@ -17,8 +17,6 @@ module Check = Simurgh_core.Check
 module Explore = Simurgh_core.Explore
 module Region = Simurgh_nvmm.Region
 
-exception Crash_now
-
 let assert_no_failures name (st : Explore.stats) =
   (match st.Explore.failures with
   | [] -> ()
@@ -31,6 +29,16 @@ let assert_no_failures name (st : Explore.stats) =
     (st.Explore.crash_points > 0);
   Alcotest.(check bool) (name ^ ": explored images") true
     (st.Explore.images >= st.Explore.crash_points)
+
+(* Coverage pin: the exact (crash points, images, max pending lines) the
+   explorer reaches on a machine.  The engine is deterministic (seeded
+   sampling, single-threaded ops), so a change that explores fewer — or
+   other — points or images moves a number here. *)
+let coverage name (points, images, pending) (st : Explore.stats) =
+  Alcotest.(check (triple int int int))
+    (name ^ ": (crash points, images, max pending)")
+    (points, images, pending)
+    (st.Explore.crash_points, st.Explore.images, st.Explore.max_pending)
 
 let test_explore_create () =
   let st =
@@ -45,7 +53,8 @@ let test_explore_create () =
         | exception Errno.Err (ENOENT, _) -> Fs.create_file fs "/d/f")
       ()
   in
-  assert_no_failures "create" st
+  assert_no_failures "create" st;
+  coverage "create" (32, 76, 3) st
 
 let test_explore_unlink () =
   let st =
@@ -95,9 +104,11 @@ let test_explore_cross_rename () =
 (* The same two rename state machines explored on log-ring media (ring
    of 4 slots, scaled format): every crash image — including those with a
    pending ring slot — must recover to a checker-clean ring. *)
+let ring_fs = Explore.scaled_fs ~cores:2 ~range_locks:false ~log_ring:4
+
 let test_explore_rename_ring () =
   let st =
-    Explore.run ~scaled:true ~ring:4
+    Explore.run ~format:ring_fs
       ~setup:(fun fs ->
         Fs.mkdir fs "/d";
         Fs.create_file fs "/d/old")
@@ -108,11 +119,12 @@ let test_explore_rename_ring () =
           Alcotest.failf "ring rename not atomic: old=%b new=%b" o n)
       ()
   in
-  assert_no_failures "rename (log ring)" st
+  assert_no_failures "rename (log ring)" st;
+  coverage "rename (log ring)" (32, 54, 2) st
 
 let test_explore_cross_rename_ring () =
   let st =
-    Explore.run ~scaled:true ~ring:4
+    Explore.run ~format:ring_fs
       ~setup:(fun fs ->
         Fs.mkdir fs "/d";
         Fs.mkdir fs "/e";
@@ -136,23 +148,23 @@ let test_explore_multi_slot_recovery () =
   Fs.mkdir fs "/d";
   Fs.create_file fs "/d/a";
   Fs.create_file fs "/d/c";
-  Fs.set_crash_hook fs (fun l -> if l = "rename:swap" then raise Crash_now);
-  (try Fs.rename fs "/d/a" "/d/b" with Crash_now -> ());
-  (try Fs.rename fs "/d/c" "/d/d" with Crash_now -> ());
+  Fs.set_crash_hook fs (fun l ->
+      if l = "rename:swap" then raise Explore.Crash_now);
+  (try Fs.rename fs "/d/a" "/d/b" with Explore.Crash_now -> ());
+  (try Fs.rename fs "/d/c" "/d/d" with Explore.Crash_now -> ());
   (* the power also fails: every unpersisted line is independently lost
-     or durable — enumerate all images of the two-slot-pending state *)
+     or durable — enumerate all images over the first 8 pending lines of
+     the two-slot-pending state (every later line lost) *)
   let pending = Array.of_list (Region.pending_lines region) in
-  let idx = Hashtbl.create 16 in
-  Array.iteri (fun i ln -> Hashtbl.replace idx ln i) pending;
+  let first = Array.sub pending 0 (min 8 (Array.length pending)) in
   let cp = Region.checkpoint region in
-  let n = Array.length pending in
-  let images = min (1 lsl n) 256 in
-  for mask = 0 to images - 1 do
+  let rng = Simurgh_sim.Rng.create 7L in
+  let image = ref 0 in
+  Explore.masks ~rng ~max_exhaustive:8 ~samples:0 first (fun keep ->
+    let mask = !image in
+    incr image;
     Region.restore region cp;
-    Region.crash_image region ~keep:(fun ln ->
-        match Hashtbl.find_opt idx ln with
-        | Some i -> mask land (1 lsl i) <> 0
-        | None -> false);
+    Region.crash_image region ~keep;
     Fs.invalidate_shared region;
     let _ = Recovery.run region in
     (match Check.run region with
@@ -164,8 +176,8 @@ let test_explore_multi_slot_recovery () =
     if Fs.exists fs' "/d/a" = Fs.exists fs' "/d/b" then
       Alcotest.failf "mask %d: first rename not atomic" mask;
     if Fs.exists fs' "/d/c" = Fs.exists fs' "/d/d" then
-      Alcotest.failf "mask %d: second rename not atomic" mask
-  done
+      Alcotest.failf "mask %d: second rename not atomic" mask);
+  Alcotest.(check int) "every image of the first 8 lines" 256 !image
 
 (* A create that must grow the directory's hash-block chain: the new
    block's initialization dirties ~66 lines at once, pushing the crash
@@ -200,7 +212,9 @@ let test_explore_create_chain_growth () =
       ()
   in
   assert_no_failures "create with chain growth" st;
-  Alcotest.(check bool) "hit the sampled branch" true (st.Explore.max_pending > 10)
+  Alcotest.(check bool) "hit the sampled branch" true
+    (st.Explore.max_pending > 10);
+  coverage "create with chain growth" (44, 342, 130) st
 
 (* Negative control: recovery with rename-log resolution disabled leaves
    a pending log behind a crashed cross-directory rename, and the
@@ -213,8 +227,9 @@ let test_checker_catches_broken_recovery () =
   Fs.mkdir fs "/e";
   Fs.create_file fs "/d/m";
   Fs.set_crash_hook fs (fun l ->
-      if l = "xrename:dstslot" then raise Crash_now);
-  (try Fs.rename fs "/d/m" "/e/m2" with Crash_now -> Region.crash region);
+      if l = "xrename:dstslot" then raise Explore.Crash_now);
+  (try Fs.rename fs "/d/m" "/e/m2"
+   with Explore.Crash_now -> Region.crash region);
   Region.clear_guard region;
   let _ = Recovery.run ~skip_log_resolution:true region in
   let viols = Check.run region in
@@ -249,9 +264,9 @@ let test_reentrant_rename () =
       Alcotest.failf "rename: %d failing re-entry image(s); first: %s"
         (List.length st.Explore.reentry_failures)
         l);
-  Alcotest.(check bool) "explored mid-recovery points" true
-    (st.Explore.recovery_points > 0);
-  Alcotest.(check bool) "re-entered images" true (st.Explore.reentry_images > 0);
+  Alcotest.(check (pair int int))
+    "rename: (recovery points, re-entry images)" (44, 63)
+    (st.Explore.recovery_points, st.Explore.reentry_images);
   Alcotest.(check bool) "recovery idempotent (fixpoint in 2 passes)" true
     (st.Explore.max_passes <= 2)
 
@@ -308,17 +323,6 @@ let shard_dir r =
   in
   "/" ^ go 0
 
-let assert_no_multi_failures name (st : Explore.stats) =
-  (match st.Explore.failures with
-  | [] -> ()
-  | (label, viols) :: _ ->
-      Alcotest.failf "%s: %d violating crash image(s); first at %s: %s" name
-        (List.length st.Explore.failures)
-        label
-        (String.concat "; " (List.map Check.violation_to_string viols)));
-  Alcotest.(check bool) (name ^ ": has crash points") true
-    (st.Explore.crash_points > 0)
-
 let test_explore_multi_region_rename () =
   let d0 = shard_dir 0 and d1 = shard_dir 1 in
   let src = d0 ^ "/m" and dst = d1 ^ "/m2" in
@@ -342,7 +346,8 @@ let test_explore_multi_region_rename () =
         end)
       ()
   in
-  assert_no_multi_failures "xregion-rename" st
+  assert_no_failures "xregion-rename" st;
+  coverage "xregion-rename" (62, 110, 3) st
 
 let test_explore_multi_region_creates () =
   let d0 = shard_dir 0 and d1 = shard_dir 1 in
@@ -356,7 +361,7 @@ let test_explore_multi_region_creates () =
         Shard.create_file sh (d1 ^ "/b"))
       ()
   in
-  assert_no_multi_failures "xregion-creates" st
+  assert_no_failures "xregion-creates" st
 
 let () =
   Alcotest.run "explore"
