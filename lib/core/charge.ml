@@ -43,3 +43,14 @@ let with_spin ?ctx lock f =
       (* exception-safe: a media fault mid-critical-section must not
          leave the lock held (the process keeps running after EIO) *)
       Fun.protect ~finally:(fun () -> Vlock.Spin.release c lock) f
+
+(** Hold rwlock [lock ()] shared, or exclusive with [excl], across [f];
+    identity without a context.  The lock is looked up only when there
+    is a context, so context-free callers never mint registry entries.
+    Exception-safe like {!with_spin}. *)
+let with_rw ?ctx ~excl lock f =
+  match ctx with
+  | None -> f ()
+  | Some c ->
+      if excl then Vlock.Rw.with_write c (lock ()) f
+      else Vlock.Rw.with_read c (lock ()) f

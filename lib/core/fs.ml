@@ -1143,23 +1143,32 @@ let map_offset t inode pos =
    with Exit -> ());
   !result
 
+(* Walk the file bytes [pos, pos+len) extent by extent: [f addr off n]
+   for each contiguous run of [n] bytes at region address [addr], [off]
+   bytes into the span.  Every data copy goes through this one walk;
+   each caller supplies its own region op. *)
+let iter_mapped t inode ~pos ~len f =
+  let rec go off =
+    if off < len then
+      match map_offset t inode (pos + off) with
+      | None ->
+          Errno.raise_ EINVAL (Printf.sprintf "unmapped offset %d" (pos + off))
+      | Some (addr, avail) ->
+          let n = min avail (len - off) in
+          f addr off n;
+          go (off + n)
+  in
+  go 0
+
 (* Zero the file bytes [from, upto) in place (no fence; callers batch
    one sfence over hole + payload).  POSIX requires a hole left behind
    by a past-EOF pwrite or a growing truncate to read back as zeros,
    and blocks arrive from the allocator with whatever they last held. *)
 let zero_span ?ctx t inode ~from ~upto =
-  let rec loop off remaining =
-    if remaining > 0 then
-      match map_offset t inode off with
-      | None -> Errno.raise_ EINVAL "zero_span: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          Region.zero t.region addr n;
-          Region.clwb t.region addr n;
-          loop (off + n) (remaining - n)
-  in
   if upto > from then begin
-    loop from (upto - from);
+    iter_mapped t inode ~pos:from ~len:(upto - from) (fun addr _ n ->
+        Region.zero t.region addr n;
+        Region.clwb t.region addr n);
     Charge.nvmm_write ?ctx (upto - from)
   end
 
@@ -1170,19 +1179,10 @@ let write_data ?ctx t w inode ~pos src =
   let old_size = Inode.size t.region inode in
   ensure_capacity ?ctx t w inode (pos + len);
   if pos > old_size then zero_span ?ctx t inode ~from:old_size ~upto:pos;
-  let rec copy off remaining =
-    if remaining > 0 then begin
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "write_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          (* stream straight from the caller's buffer — no Bytes.sub *)
-          Region.write_bytes_from t.region addr src ~pos:off ~len:n;
-          Region.clwb t.region addr n;
-          copy (off + n) (remaining - n)
-    end
-  in
-  copy 0 len;
+  iter_mapped t inode ~pos ~len (fun addr off n ->
+      (* stream straight from the caller's buffer — no Bytes.sub *)
+      Region.write_bytes_from t.region addr src ~pos:off ~len:n;
+      Region.clwb t.region addr n);
   (* non-temporal stores + sfence, then metadata update (paper: metadata
      updates occur after the data has been persisted) *)
   Region.sfence t.region;
@@ -1199,22 +1199,16 @@ let write_data ?ctx t w inode ~pos src =
   end;
   len
 
+(* The bytes of [pos, pos+len) a file of [size] bytes holds. *)
+let read_len ~size ~pos ~len = max 0 (min len (size - pos))
+
+(* The one read body: copy [pos, pos+len) out of the file, [len]
+   already clamped by {!read_len}. *)
 let read_data ?ctx t inode ~pos ~len =
-  let size = Inode.size t.region inode in
-  let len = max 0 (min len (size - pos)) in
   let out = Bytes.create len in
-  let rec copy off remaining =
-    if remaining > 0 then begin
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "read_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          (* fill the result in place — no intermediate copy *)
-          Region.read_bytes_into t.region addr out ~pos:off ~len:n;
-          copy (off + n) (remaining - n)
-    end
-  in
-  copy 0 len;
+  iter_mapped t inode ~pos ~len (fun addr off n ->
+      (* fill the result in place — no intermediate copy *)
+      Region.read_bytes_into t.region addr out ~pos:off ~len:n);
   Charge.nvmm_read ?ctx len;
   Charge.memcpy ?ctx len;
   out
@@ -1245,10 +1239,14 @@ let free_data ?ctx t _w inode =
   chain (Region.read_u62 t.region (Inode.f_overflow inode));
   match quid with Some uid -> quota_release t ~uid !freed | None -> ()
 
-(* --- byte-range data path (range_locks mode) ------------------------------ *)
+(* --- data-path locks ------------------------------------------------------ *)
 
-(* Lock order, outermost first — every path acquires along this chain,
-   so no cycle is possible:
+(* Both data-path protocols lock through {!Charge.with_rw}.  The
+   whole-file rwlock is the paper's per-file read/write lock on a
+   whole-file volume and the fence on a range volume.
+
+   Range-volume lock order, outermost first — every path acquires along
+   this chain, so no cycle is possible:
 
      directory row (unlink only)
        -> whole-file lock, used as a *fence*: shared by every data
@@ -1264,45 +1262,30 @@ let free_data ?ctx t _w inode =
    The append publish-wait holds only the fence (shared) — predecessors
    need the extent lock and their own reservation, never ours. *)
 
-let with_fence_shared ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c -> Simurgh_sim.Vlock.Rw.with_read c (Locks.file_lock t.locks inode) f
+let with_fence ?ctx ~excl t inode f =
+  Charge.with_rw ?ctx ~excl (fun () -> Locks.file_lock t.locks inode) f
 
-let with_fence_excl ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      Simurgh_sim.Vlock.Rw.with_write c (Locks.file_lock t.locks inode) f
+let with_extent ?ctx ~excl t inode f =
+  Charge.with_rw ?ctx ~excl (fun () -> Locks.extent_lock t.locks inode) f
 
 (* Hold every row covering [pos, pos+len) across [f], acquired in
    ascending row order (two writers covering overlapping spans always
    meet on the first shared row, never in opposite order). *)
 let with_rows ?ctx t inode ~pos ~len ~excl f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      let rec go = function
-        | [] -> f ()
-        | row :: rest ->
-            let l = Locks.range_lock t.locks inode ~row in
-            if excl then
-              Simurgh_sim.Vlock.Rw.with_write c l (fun () -> go rest)
-            else Simurgh_sim.Vlock.Rw.with_read c l (fun () -> go rest)
-      in
-      go (Locks.rows_of_range ~pos ~len)
+  let rec go = function
+    | [] -> f ()
+    | row :: rest ->
+        Charge.with_rw ?ctx ~excl
+          (fun () -> Locks.range_lock t.locks inode ~row)
+          (fun () -> go rest)
+  in
+  go (Locks.rows_of_range ~pos ~len)
 
-let with_extent_read ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      Simurgh_sim.Vlock.Rw.with_read c (Locks.extent_lock t.locks inode) f
-
-let with_extent_write ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      Simurgh_sim.Vlock.Rw.with_write c (Locks.extent_lock t.locks inode) f
+(* The whole-file path's per-file lock; the relaxed-writes ablation
+   drops it. *)
+let with_file_lock ?ctx ~excl t inode f =
+  if t.features.Layout.relaxed_writes then f ()
+  else with_fence ?ctx ~excl t inode f
 
 (* The volatile size pair of an open file.  [reserved] is bumped by a
    fetch-and-add before any byte is written; [published] trails it and
@@ -1314,7 +1297,7 @@ let with_extent_write ?ctx t inode f =
 let state_of ?ctx t inode =
   let st = Locks.file_state t.locks inode in
   if st.Locks.published < 0 then
-    with_extent_read ?ctx t inode (fun () ->
+    with_extent ?ctx ~excl:false t inode (fun () ->
         if st.Locks.published < 0 then begin
           let size = Inode.size t.region inode in
           st.Locks.reserved <- size;
@@ -1322,33 +1305,71 @@ let state_of ?ctx t inode =
         end);
   st
 
+(* The one resize path (truncate, O_TRUNC, fallocate): [body] changes
+   the size and returns the new one.  A range volume runs it behind the
+   exclusive fence, which drains every in-flight data operation, then
+   resets the volatile size pair to the new truth (ctx or not —
+   sequential callers rely on this bookkeeping too); a whole-file
+   volume runs it under the file's write lock. *)
+let resize ?ctx t inode body =
+  if t.features.Layout.range_locks then
+    with_fence ?ctx ~excl:true t inode (fun () ->
+        let size = body () in
+        let st = state_of ?ctx t inode in
+        st.Locks.reserved <- size;
+        st.Locks.published <- size)
+  else with_file_lock ?ctx ~excl:true t inode (fun () -> ignore (body ()))
+
+(* Set the size to [len] (the body {!resize} runs for truncate and
+   O_TRUNC). *)
+let truncate_data ?ctx t w inode len () =
+  let size = Inode.size t.region inode in
+  if len < size then begin
+    (* shrink: simplest correct strategy — free everything beyond a
+       block boundary by rebuilding the extent list *)
+    if len = 0 then begin
+      free_data ?ctx t w inode;
+      for k = 0 to Inode.inline_extents - 1 do
+        Inode.write_extent t.region inode k ~addr:0 ~blocks:0
+      done;
+      Region.write_u62 t.region (Inode.f_overflow inode) 0
+    end;
+    Inode.set_size t.region inode len;
+    Region.persist t.region inode Inode.payload_size;
+    Charge.write_lines ?ctx 2
+  end
+  else if len > size then begin
+    ensure_capacity ?ctx t w inode len;
+    (* a partial shrink keeps its blocks, so the bytes re-exposed by
+       growing are stale file contents — POSIX says they read zero *)
+    zero_span ?ctx t inode ~from:size ~upto:len;
+    Inode.set_size t.region inode len;
+    Region.persist t.region (Inode.f_size inode) 8;
+    Charge.write_lines ?ctx 1
+  end;
+  len
+
+(* --- byte-range data path (range_locks mode) ------------------------------ *)
+
 (* Stream [src] into [pos, pos+len) without a fence: the caller batches
    one sfence over the whole operation (hole zeroing included). *)
 let range_copy ?ctx t inode ~pos src =
   let len = Bytes.length src in
-  let rec copy off remaining =
-    if remaining > 0 then
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "write_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          Region.ntstore_from t.region addr src ~pos:off ~len:n;
-          copy (off + n) (remaining - n)
-  in
-  copy 0 len;
+  iter_mapped t inode ~pos ~len (fun addr off n ->
+      Region.ntstore_from t.region addr src ~pos:off ~len:n);
   Charge.nvmm_write ?ctx len
 
 let range_pwrite ?ctx t w inode ~pos src =
   let len = Bytes.length src in
   if len = 0 then 0
   else
-    with_fence_shared ?ctx t inode @@ fun () ->
+    with_fence ?ctx ~excl:false t inode @@ fun () ->
     let st = state_of ?ctx t inode in
     let overwrite () =
       (* bytes below the published size: only the covered rows, extent
          map shared — disjoint writers never touch the same lock *)
       with_rows ?ctx t inode ~pos ~len ~excl:true @@ fun () ->
-      with_extent_read ?ctx t inode (fun () ->
+      with_extent ?ctx ~excl:false t inode (fun () ->
           range_copy ?ctx t inode ~pos src);
       Region.sfence t.region;
       Charge.fence ?ctx ();
@@ -1369,11 +1390,11 @@ let range_pwrite ?ctx t w inode ~pos src =
         let from = min pos old_size in
         with_rows ?ctx t inode ~pos:from ~len:(pos + len - from) ~excl:true
         @@ fun () ->
-        with_extent_write ?ctx t inode (fun () ->
+        with_extent ?ctx ~excl:true t inode (fun () ->
             ensure_capacity ?ctx ~staged:true t w inode (pos + len));
         (* staged extent slots durable before any data lands in them *)
         Region.sfence t.region;
-        with_extent_read ?ctx t inode (fun () ->
+        with_extent ?ctx ~excl:false t inode (fun () ->
             if pos > old_size then
               zero_span ?ctx t inode ~from:old_size ~upto:pos;
             range_copy ?ctx t inode ~pos src);
@@ -1382,7 +1403,7 @@ let range_pwrite ?ctx t w inode ~pos src =
         (* in-order publish; the drain above made this immediate *)
         Simurgh_sim.Schedule.wait_while (fun () ->
             st.Locks.published <> old_size);
-        with_extent_write ?ctx t inode (fun () ->
+        with_extent ?ctx ~excl:true t inode (fun () ->
             Inode.set_size t.region inode (pos + len);
             Inode.set_mtime t.region inode (now ?ctx t);
             Region.persist t.region (Inode.f_size inode) 16;
@@ -1400,23 +1421,23 @@ let range_pwrite ?ctx t w inode ~pos src =
    bytes whose sfence had not retired. *)
 let range_append ?ctx t w inode src =
   let len = Bytes.length src in
-  with_fence_shared ?ctx t inode @@ fun () ->
+  with_fence ?ctx ~excl:false t inode @@ fun () ->
   let st = state_of ?ctx t inode in
   let r0 = st.Locks.reserved in
   st.Locks.reserved <- r0 + len;
   Charge.atomic ?ctx ~contended:true ();
   if len > 0 then begin
-    with_extent_write ?ctx t inode (fun () ->
+    with_extent ?ctx ~excl:true t inode (fun () ->
         ensure_capacity ?ctx ~staged:true t w inode (r0 + len));
     Region.sfence t.region;
-    with_extent_read ?ctx t inode (fun () ->
+    with_extent ?ctx ~excl:false t inode (fun () ->
         range_copy ?ctx t inode ~pos:r0 src);
     Region.sfence t.region;
     Charge.fence ?ctx ();
     (* wait for every earlier reservation to publish, so the size never
        covers a hole another append has not written yet *)
     Simurgh_sim.Schedule.wait_while (fun () -> st.Locks.published <> r0);
-    with_extent_write ?ctx t inode (fun () ->
+    with_extent ?ctx ~excl:true t inode (fun () ->
         Inode.set_size t.region inode (r0 + len);
         Inode.set_mtime t.region inode (now ?ctx t);
         Region.persist t.region (Inode.f_size inode) 16;
@@ -1425,28 +1446,15 @@ let range_append ?ctx t w inode src =
   end;
   r0 + len
 
+(* Clamped against the volatile published size: reserved-but-unwritten
+   bytes are never readable. *)
 let range_pread ?ctx t inode ~pos ~len =
-  with_fence_shared ?ctx t inode @@ fun () ->
+  with_fence ?ctx ~excl:false t inode @@ fun () ->
   let st = state_of ?ctx t inode in
-  (* clamp against the volatile published size: reserved-but-unwritten
-     bytes are never readable *)
-  let len = max 0 (min len (st.Locks.published - pos)) in
+  let len = read_len ~size:st.Locks.published ~pos ~len in
   with_rows ?ctx t inode ~pos ~len ~excl:false @@ fun () ->
-  with_extent_read ?ctx t inode @@ fun () ->
-  let out = Bytes.create len in
-  let rec copy off remaining =
-    if remaining > 0 then
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "read_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          Region.read_bytes_into t.region addr out ~pos:off ~len:n;
-          copy (off + n) (remaining - n)
-  in
-  copy 0 len;
-  Charge.nvmm_read ?ctx len;
-  Charge.memcpy ?ctx len;
-  out
+  with_extent ?ctx ~excl:false t inode @@ fun () ->
+  read_data ?ctx t inode ~pos ~len
 
 
 (* --- unlink / rmdir (Fig. 5b) --------------------------------------------- *)
@@ -1531,13 +1539,8 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
                drains them all before the inode and its blocks go away.
                Safe under the directory row lock — data ops never wait
                on directory rows, so the holders always finish. *)
-            (if t.features.Layout.range_locks then
-               match ctx with
-               | None -> ()
-               | Some c ->
-                   Simurgh_sim.Vlock.Rw.with_write c
-                     (Locks.file_lock t.locks inode)
-                     (fun () -> ()));
+            if t.features.Layout.range_locks then
+              with_fence ?ctx ~excl:true t inode ignore;
             Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.inode_slab inode;
             Locks.drop_file_lock t.locks inode;
             (* the directory is gone: reclaim its row/append locks so the
@@ -1603,97 +1606,113 @@ let rmdir ?ctx t path =
 
 (* --- rename (Fig. 5c / cross-directory) ----------------------------------- *)
 
+(* Hold the row locks of the [(dir, row)] pairs across [f], each once,
+   in one deterministic order on (dir head, row). *)
+let lock_rows ?ctx t rows f =
+  let rec go = function
+    | [] -> f ()
+    | (_, row, d) :: rest -> lock_row ?ctx t d row (fun () -> go rest)
+  in
+  go
+    (List.sort_uniq compare
+       (List.map (fun (d, row) -> (d.dhead, row, d)) rows))
+
+(* The shadow-entry prologue both renames share, run under their row
+   locks: find [old_n] in [ds], replace an existing [new_n] in [dd]
+   (POSIX), then build the shadow file entry — same inode, dirblock and
+   owner word as the original — and fire [shadow_hook].  Striped mode
+   also reserves the shadow's destination slot ahead of the log window
+   (the held row lock keeps it free), so the directory-global log lock
+   covers only the short persistent rename sequence, never a chain
+   scan.  Returns the source slot, the original and shadow entries, and
+   [link], which stores the shadow into its destination row (the
+   reserved slot, else a fresh insert). *)
+let rename_shadow ?ctx t w ~shadow_hook (ds : dirref) ~old_n (dd : dirref)
+    ~new_n =
+  let found, hops = Dirblock.find t.region ~head:ds.dhead ~name:old_n in
+  Charge.read_lines ?ctx (hops + 1);
+  match found with
+  | None -> Errno.raise_ ENOENT old_n
+  | Some (oblk, orow, oslot, ofe) ->
+      (match Dirblock.find t.region ~head:dd.dhead ~name:new_n with
+      | Some _, _ ->
+          remove_entry ?ctx t w dd ~name:new_n
+            ~check_dir:
+              (if Fentry.is_dir t.region ofe then `Must_be_dir
+               else `Must_not_be_dir)
+      | None, h -> Charge.read_lines ?ctx (h + 1));
+      let inode = Fentry.target t.region ofe in
+      let nfe = alloc_fentry ?ctx t in
+      Fentry.init t.region nfe ~name:new_n
+        ~dir:(Fentry.is_dir t.region ofe)
+        ~symlink:(Fentry.is_symlink t.region ofe)
+        ~target:inode
+        ~alloc_spill:(fun b ->
+          alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
+      if Fentry.is_dir t.region ofe then
+        Fentry.set_dirblock t.region nfe (Fentry.dirblock t.region ofe);
+      if t.secure then Fentry.copy_owner t.region ~src:ofe ~dst:nfe;
+      Charge.write_lines ?ctx 2;
+      hook t shadow_hook;
+      let reserved =
+        if Locks.striped t.locks then
+          Some
+            (striped_reserve ?ctx ?owner:(dir_quota_uid t dd) t dd
+               ~hash:(Name_hash.hash new_n))
+        else None
+      in
+      let link () =
+        match reserved with
+        | Some (blk, row, s) ->
+            Dirblock.set_slot t.region blk row s nfe;
+            Charge.write_lines ?ctx 1
+        | None ->
+            insert_entry ?ctx ?owner:(dir_quota_uid t dd) t dd ~name:new_n
+              nfe
+      in
+      ((oblk, orow, oslot), ofe, nfe, link)
+
 (* Same-directory rename, Fig. 5c.  [d] is the directory, [old_n] the
    existing name, [new_n] the new one. *)
 let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
   Hw.Protected.check_privileged w t.penv.pcpu;
   check_perm_fe ?ctx t d.dfentry ~want:3;
   let old_row = Dirblock.lock_row_of_name old_n in
-  let new_row = Dirblock.lock_row_of_name new_n in
-  let lock2 f =
-    if old_row = new_row then lock_row ?ctx t d old_row f
-    else
-      let r1 = min old_row new_row and r2 = max old_row new_row in
-      lock_row ?ctx t d r1 (fun () -> lock_row ?ctx t d r2 f)
-  in
-  lock2 (fun () ->
-      let found, hops = Dirblock.find t.region ~head:d.dhead ~name:old_n in
-      Charge.read_lines ?ctx (hops + 1);
-      match found with
-      | None -> Errno.raise_ ENOENT old_n
-      | Some (oblk, orow, oslot, ofe) ->
-          (* destination exists? POSIX: replace it *)
-          (match Dirblock.find t.region ~head:d.dhead ~name:new_n with
-          | Some _, _ ->
-              remove_entry ?ctx t w d ~name:new_n
-                ~check_dir:
-                  (if Fentry.is_dir t.region ofe then `Must_be_dir
-                   else `Must_not_be_dir)
-          | None, h -> Charge.read_lines ?ctx (h + 1));
-          let inode = Fentry.target t.region ofe in
-          (* step 1-2: shadow file entry pointing at the same inode *)
-          let nfe = alloc_fentry ?ctx t in
-          Fentry.init t.region nfe ~name:new_n
-            ~dir:(Fentry.is_dir t.region ofe)
-            ~symlink:(Fentry.is_symlink t.region ofe)
-            ~target:inode
-            ~alloc_spill:(fun b ->
-              alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
-          if Fentry.is_dir t.region ofe then
-            Fentry.set_dirblock t.region nfe (Fentry.dirblock t.region ofe);
-          (* the shadow carries the same identity as the original *)
-          if t.secure then Fentry.copy_owner t.region ~src:ofe ~dst:nfe;
+  lock_rows ?ctx t [ (d, old_row); (d, Dirblock.lock_row_of_name new_n) ]
+    (fun () ->
+      (* step 1-2: shadow file entry pointing at the same inode *)
+      let (oblk, orow, oslot), ofe, nfe, link =
+        rename_shadow ?ctx t w ~shadow_hook:"rename:shadow" d ~old_n d ~new_n
+      in
+      (* the claimed persistent log slot is held from write to clear *)
+      with_log_slot ?ctx t d.dhead (fun ~slot ~epoch ->
+          (* step 3-4: mark the hash block and the old line busy *)
+          Dirblock.Log.write t.region d.dhead ~slot ~epoch ~src:d.dhead
+            ~dst:d.dhead ~fentry:ofe ~new_entry:nfe;
+          set_row_busy ?ctx t d old_row true;
           Charge.write_lines ?ctx 2;
-          hook t "rename:shadow";
-          (* striped mode: reserve the destination slot before the log
-             window (the held row lock keeps it free), so the
-             directory-global log lock covers only the short persistent
-             rename sequence below, never a chain scan *)
-          let reserved =
-            if Locks.striped t.locks then
-              Some
-                (striped_reserve ?ctx ?owner:(dir_quota_uid t d) t d
-                   ~hash:(Name_hash.hash new_n))
-            else None
-          in
-          (* the claimed persistent log slot is held from write to clear *)
-          with_log_slot ?ctx t d.dhead (fun ~slot ~epoch ->
-              (* step 3-4: mark the hash block and the old line busy *)
-              Dirblock.Log.write t.region d.dhead ~slot ~epoch ~src:d.dhead
-                ~dst:d.dhead ~fentry:ofe ~new_entry:nfe;
-              set_row_busy ?ctx t d old_row true;
-              Charge.write_lines ?ctx 2;
-              hook t "rename:log";
-              (* step 5: old slot now points to the shadow (hash
-                 mismatch) *)
-              Dirblock.set_slot t.region oblk orow oslot nfe;
-              Charge.write_lines ?ctx 1;
-              hook t "rename:swap";
-              (* step 6: the old file entry is no longer needed *)
-              Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.fentry_slab
-                ofe;
-              hook t "rename:oldfree";
-              (* step 7: pointer in the new line *)
-              (match reserved with
-              | Some (blk, row, s) ->
-                  Dirblock.set_slot t.region blk row s nfe;
-                  Charge.write_lines ?ctx 1
-              | None ->
-                  insert_entry ?ctx ?owner:(dir_quota_uid t d) t d ~name:new_n
-                    nfe);
-              hook t "rename:newslot";
-              (* step 8: remove the mismatched pointer from the old line *)
-              Dirblock.set_slot t.region oblk orow oslot 0;
-              Charge.write_lines ?ctx 1;
-              hook t "rename:oldslot";
-              Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab
-                nfe;
-              set_row_busy ?ctx t d old_row false;
-              Dirblock.Log.clear t.region d.dhead ~slot;
-              Charge.write_lines ?ctx 2;
-              hook t "rename:done");
-          rcache_invalidate t d old_n;
-          rcache_insert t d new_n nfe)
+          hook t "rename:log";
+          (* step 5: old slot now points to the shadow (hash mismatch) *)
+          Dirblock.set_slot t.region oblk orow oslot nfe;
+          Charge.write_lines ?ctx 1;
+          hook t "rename:swap";
+          (* step 6: the old file entry is no longer needed *)
+          Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.fentry_slab ofe;
+          hook t "rename:oldfree";
+          (* step 7: pointer in the new line *)
+          link ();
+          hook t "rename:newslot";
+          (* step 8: remove the mismatched pointer from the old line *)
+          Dirblock.set_slot t.region oblk orow oslot 0;
+          Charge.write_lines ?ctx 1;
+          hook t "rename:oldslot";
+          Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab nfe;
+          set_row_busy ?ctx t d old_row false;
+          Dirblock.Log.clear t.region d.dhead ~slot;
+          Charge.write_lines ?ctx 2;
+          hook t "rename:done");
+      rcache_invalidate t d old_n;
+      rcache_insert t d new_n nfe)
 
 (* Cross-directory rename: one log entry in the source directory marks
    the transaction (paper Fig. 5 text). *)
@@ -1703,86 +1722,38 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
   check_perm_fe ?ctx t dd.dfentry ~want:3;
   let src_row = Dirblock.lock_row_of_name old_n in
   let dst_row = Dirblock.lock_row_of_name new_n in
-  (* deterministic lock order on (dir head, row) *)
-  let locks =
-    List.sort compare [ (ds.dhead, src_row, ds); (dd.dhead, dst_row, dd) ]
-  in
-  let rec with_locks ls f =
-    match ls with
-    | [] -> f ()
-    | (_, row, d) :: rest -> lock_row ?ctx t d row (fun () -> with_locks rest f)
-  in
-  with_locks locks (fun () ->
-      let found, hops = Dirblock.find t.region ~head:ds.dhead ~name:old_n in
-      Charge.read_lines ?ctx (hops + 1);
-      match found with
-      | None -> Errno.raise_ ENOENT old_n
-      | Some (oblk, orow, oslot, ofe) ->
-          (match Dirblock.find t.region ~head:dd.dhead ~name:new_n with
-          | Some _, _ ->
-              remove_entry ?ctx t w dd ~name:new_n
-                ~check_dir:
-                  (if Fentry.is_dir t.region ofe then `Must_be_dir
-                   else `Must_not_be_dir)
-          | None, h -> Charge.read_lines ?ctx (h + 1));
-          let inode = Fentry.target t.region ofe in
-          (* shadow entry in the destination *)
-          let nfe = alloc_fentry ?ctx t in
-          Fentry.init t.region nfe ~name:new_n
-            ~dir:(Fentry.is_dir t.region ofe)
-            ~symlink:(Fentry.is_symlink t.region ofe)
-            ~target:inode
-            ~alloc_spill:(fun b ->
-              alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
-          if Fentry.is_dir t.region ofe then
-            Fentry.set_dirblock t.region nfe (Fentry.dirblock t.region ofe);
-          if t.secure then Fentry.copy_owner t.region ~src:ofe ~dst:nfe;
+  lock_rows ?ctx t [ (ds, src_row); (dd, dst_row) ] (fun () ->
+      (* shadow entry in the destination *)
+      let (oblk, orow, oslot), ofe, nfe, link =
+        rename_shadow ?ctx t w ~shadow_hook:"xrename:shadow" ds ~old_n dd
+          ~new_n
+      in
+      with_log_slot ?ctx t ds.dhead (fun ~slot ~epoch ->
+          (* step 1-2: the operation recorded in the source log entry *)
+          Dirblock.Log.write t.region ds.dhead ~slot ~epoch ~src:ds.dhead
+            ~dst:dd.dhead ~fentry:ofe ~new_entry:nfe;
           Charge.write_lines ?ctx 2;
-          hook t "xrename:shadow";
-          (* striped mode: reserve the destination slot ahead of the log
-             window, as in [rename_same_dir] *)
-          let reserved =
-            if Locks.striped t.locks then
-              Some
-                (striped_reserve ?ctx ?owner:(dir_quota_uid t dd) t dd
-                   ~hash:(Name_hash.hash new_n))
-            else None
-          in
-          with_log_slot ?ctx t ds.dhead (fun ~slot ~epoch ->
-              (* step 1-2: the operation recorded in the source log
-                 entry *)
-              Dirblock.Log.write t.region ds.dhead ~slot ~epoch ~src:ds.dhead
-                ~dst:dd.dhead ~fentry:ofe ~new_entry:nfe;
-              Charge.write_lines ?ctx 2;
-              hook t "xrename:log";
-              (* step 3: both rows busy *)
-              set_row_busy ?ctx t ds src_row true;
-              set_row_busy ?ctx t dd dst_row true;
-              hook t "xrename:busy";
-              (* step 4: perform — link destination, clear source *)
-              (match reserved with
-              | Some (blk, row, s) ->
-                  Dirblock.set_slot t.region blk row s nfe;
-                  Charge.write_lines ?ctx 1
-              | None ->
-                  insert_entry ?ctx ?owner:(dir_quota_uid t dd) t dd
-                    ~name:new_n nfe);
-              hook t "xrename:dstslot";
-              Dirblock.set_slot t.region oblk orow oslot 0;
-              Charge.write_lines ?ctx 1;
-              hook t "xrename:srcslot";
-              Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.fentry_slab
-                ofe;
-              Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab
-                nfe;
-              hook t "xrename:oldfree";
-              set_row_busy ?ctx t ds src_row false;
-              set_row_busy ?ctx t dd dst_row false;
-              Dirblock.Log.clear t.region ds.dhead ~slot;
-              Charge.write_lines ?ctx 2;
-              hook t "xrename:done");
-          rcache_invalidate t ds old_n;
-          rcache_insert t dd new_n nfe)
+          hook t "xrename:log";
+          (* step 3: both rows busy *)
+          set_row_busy ?ctx t ds src_row true;
+          set_row_busy ?ctx t dd dst_row true;
+          hook t "xrename:busy";
+          (* step 4: perform — link destination, clear source *)
+          link ();
+          hook t "xrename:dstslot";
+          Dirblock.set_slot t.region oblk orow oslot 0;
+          Charge.write_lines ?ctx 1;
+          hook t "xrename:srcslot";
+          Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.fentry_slab ofe;
+          Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab nfe;
+          hook t "xrename:oldfree";
+          set_row_busy ?ctx t ds src_row false;
+          set_row_busy ?ctx t dd dst_row false;
+          Dirblock.Log.clear t.region ds.dhead ~slot;
+          Charge.write_lines ?ctx 2;
+          hook t "xrename:done");
+      rcache_invalidate t ds old_n;
+      rcache_insert t dd new_n nfe)
 
 (* POSIX: renaming a directory into its own subtree (rename /a /a/b/c)
    must fail EINVAL — performing it would detach the subtree into an
@@ -1877,31 +1848,12 @@ let openf ?ctx t (flags : Types.open_flags) path =
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
   if flags.Types.read then check_perm_fe ?ctx t fe ~want:4;
-  if flags.Types.write then check_perm_fe ?ctx t fe ~want:2;
-  (if flags.Types.trunc then
-     let trunc_body () =
-       if Inode.size t.region inode > 0 then begin
-         free_data ?ctx t w inode;
-         let rec clear_inline k =
-           if k < Inode.inline_extents then begin
-             Inode.write_extent t.region inode k ~addr:0 ~blocks:0;
-             clear_inline (k + 1)
-           end
-         in
-         clear_inline 0;
-         Region.write_u62 t.region (Inode.f_overflow inode) 0;
-         Inode.set_size t.region inode 0;
-         Region.persist t.region inode Inode.payload_size;
-         Charge.write_lines ?ctx 2
-       end
-     in
-     if t.features.Layout.range_locks then
-       with_fence_excl ?ctx t inode (fun () ->
-           trunc_body ();
-           let st = state_of ?ctx t inode in
-           st.Locks.reserved <- 0;
-           st.Locks.published <- 0)
-     else trunc_body ());
+  (* O_TRUNC writes the file, so it needs write permission even on a
+     read-only open (Linux adds MAY_WRITE for it) *)
+  if flags.Types.write || flags.Types.trunc then
+    check_perm_fe ?ctx t fe ~want:2;
+  if flags.Types.trunc then
+    resize ?ctx t inode (truncate_data ?ctx t w inode 0);
   let mode =
     match (flags.Types.read, flags.Types.write) with
     | true, true -> Openfile.Rdwr
@@ -1922,26 +1874,6 @@ let fd_entry t fd =
   | Some e -> e
   | None -> Errno.raise_ EBADF (string_of_int fd)
 
-let with_write_lock ?ctx t inode f =
-  if t.features.Layout.relaxed_writes then f ()
-  else
-    match ctx with
-    | None -> f ()
-    | Some c ->
-        let l = Locks.file_lock t.locks inode in
-        (* exception-safe: an EIO mid-write must not leave the file
-           locked — the process keeps running after a media error *)
-        Simurgh_sim.Vlock.Rw.with_write c l f
-
-let with_read_lock ?ctx t inode f =
-  if t.features.Layout.relaxed_writes then f ()
-  else
-    match ctx with
-    | None -> f ()
-    | Some c ->
-        let l = Locks.file_lock t.locks inode in
-        Simurgh_sim.Vlock.Rw.with_read c l f
-
 let pwrite ?ctx t fd ~pos src =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
@@ -1958,7 +1890,7 @@ let pwrite ?ctx t fd ~pos src =
   if t.features.Layout.range_locks then
     range_pwrite ?ctx t w e.Openfile.inode ~pos src
   else
-    with_write_lock ?ctx t e.Openfile.inode (fun () ->
+    with_file_lock ?ctx ~excl:true t e.Openfile.inode (fun () ->
         write_data ?ctx t w e.Openfile.inode ~pos src)
 
 let append ?ctx t fd src =
@@ -1973,7 +1905,7 @@ let append ?ctx t fd src =
     Bytes.length src
   end
   else
-    with_write_lock ?ctx t e.Openfile.inode (fun () ->
+    with_file_lock ?ctx ~excl:true t e.Openfile.inode (fun () ->
         let pos = Inode.size t.region e.Openfile.inode in
         let n = write_data ?ctx t w e.Openfile.inode ~pos src in
         e.Openfile.pos <- pos + n;
@@ -1989,11 +1921,12 @@ let pread ?ctx t fd ~pos ~len =
     Errno.raise_ EINVAL (Printf.sprintf "pread pos %d + len %d overflow" pos len);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Wronly then Errno.raise_ EBADF "write-only fd";
-  if t.features.Layout.range_locks then
-    range_pread ?ctx t e.Openfile.inode ~pos ~len
+  let inode = e.Openfile.inode in
+  if t.features.Layout.range_locks then range_pread ?ctx t inode ~pos ~len
   else
-    with_read_lock ?ctx t e.Openfile.inode (fun () ->
-        read_data ?ctx t e.Openfile.inode ~pos ~len)
+    with_file_lock ?ctx ~excl:false t inode (fun () ->
+        read_data ?ctx t inode ~pos
+          ~len:(read_len ~size:(Inode.size t.region inode) ~pos ~len))
 
 let fallocate ?ctx t fd ~len =
   entry_charge ?ctx t;
@@ -2002,24 +1935,16 @@ let fallocate ?ctx t fd ~len =
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
   let inode = e.Openfile.inode in
-  let body () =
-    ensure_capacity ?ctx t w inode len;
-    if Inode.size t.region inode < len then begin
-      Inode.set_size t.region inode len;
-      Region.persist t.region (Inode.f_size inode) 8;
-      Charge.write_lines ?ctx 1
-    end
-  in
-  if t.features.Layout.range_locks then
-    with_fence_excl ?ctx t inode (fun () ->
-        body ();
-        (* the fence drained every reservation, so both words move *)
-        let st = state_of ?ctx t inode in
-        if len > st.Locks.published then begin
-          st.Locks.reserved <- len;
-          st.Locks.published <- len
-        end)
-  else with_write_lock ?ctx t inode body
+  resize ?ctx t inode (fun () ->
+      ensure_capacity ?ctx t w inode len;
+      let size = Inode.size t.region inode in
+      if size >= len then size
+      else begin
+        Inode.set_size t.region inode len;
+        Region.persist t.region (Inode.f_size inode) 8;
+        Charge.write_lines ?ctx 1;
+        len
+      end)
 
 (* Simurgh persists synchronously; fsync only needs the entry charge. *)
 let fsync ?ctx t fd =
@@ -2037,42 +1962,7 @@ let truncate ?ctx t path len =
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
   check_perm_fe ?ctx t fe ~want:2;
-  let body () =
-    let size = Inode.size t.region inode in
-    if len < size then begin
-      (* shrink: simplest correct strategy — free everything beyond a
-         block boundary by rebuilding the extent list *)
-      if len = 0 then begin
-        free_data ?ctx t w inode;
-        for k = 0 to Inode.inline_extents - 1 do
-          Inode.write_extent t.region inode k ~addr:0 ~blocks:0
-        done;
-        Region.write_u62 t.region (Inode.f_overflow inode) 0
-      end;
-      Inode.set_size t.region inode len;
-      Region.persist t.region inode Inode.payload_size;
-      Charge.write_lines ?ctx 2
-    end
-    else if len > size then begin
-      ensure_capacity ?ctx t w inode len;
-      (* a partial shrink keeps its blocks, so the bytes re-exposed by
-         growing are stale file contents — POSIX says they read zero *)
-      zero_span ?ctx t inode ~from:size ~upto:len;
-      Inode.set_size t.region inode len;
-      Region.persist t.region (Inode.f_size inode) 8;
-      Charge.write_lines ?ctx 1
-    end
-  in
-  if t.features.Layout.range_locks then
-    with_fence_excl ?ctx t inode (fun () ->
-        body ();
-        (* nothing is in flight behind the exclusive fence: reset the
-           volatile size pair to the new truth (ctx or not — sequential
-           callers rely on this bookkeeping too) *)
-        let st = state_of ?ctx t inode in
-        st.Locks.reserved <- len;
-        st.Locks.published <- len)
-  else with_write_lock ?ctx t inode body
+  resize ?ctx t inode (truncate_data ?ctx t w inode len)
 
 let readdir ?ctx t path =
   entry_charge ?ctx t;

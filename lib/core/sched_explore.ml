@@ -448,55 +448,48 @@ let striped_same_row_scenario ~threads =
         Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:0 ((2 * tid) + 1)));
   }
 
+(* Every thread renames its own name of one shared directory [/s] (one
+   hash row each) within [/s] ([cross] false) or into [/d] ([cross]
+   true), on the volume [format] builds: the striped and log-ring
+   scenarios differ only in that volume. *)
+let shared_rename_scenario ~name ~format ~cross ~threads =
+  {
+    name;
+    threads;
+    format;
+    invariant = true;
+    check_final = None;
+    setup =
+      (fun fs ->
+        Fs.mkdir fs "/s";
+        if cross then Fs.mkdir fs "/d";
+        for tid = 0 to threads - 1 do
+          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
+        done);
+    body =
+      (fun ~tid ~site fs ctx ->
+        let dst =
+          if cross then "/d/" ^ name_in_row ~row:tid 1
+          else "/s/" ^ name_in_row ~row:(tid + 8) 1
+        in
+        site (if cross then "xrename" else "rename");
+        Fs.rename ~ctx fs ("/s/" ^ name_in_row ~row:tid 0) dst);
+  }
+
 (* Same-directory renames from every thread: the directory's single
    persistent log slot is written by all of them, serialized by the
    striped-mode log lock — the explorer proves the write..clear windows
    never interleave (any overlap would corrupt the slot and diverge the
    namespace or trip fsck). *)
 let striped_rename_scenario ~threads =
-  {
-    name = "striped-rename";
-    threads;
-    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/s/" ^ name_in_row ~row:(tid + 8) 1));
-  }
+  shared_rename_scenario ~name:"striped-rename" ~cross:false ~threads
+    ~format:(Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0)
 
 (* Cross-directory renames sharing one source directory (and hence one
    source log slot) under striped locks. *)
 let striped_xrename_scenario ~threads =
-  {
-    name = "striped-xrename";
-    threads;
-    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        Fs.mkdir fs "/d";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "xrename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/d/" ^ name_in_row ~row:tid 1));
-  }
+  shared_rename_scenario ~name:"striped-xrename" ~cross:true ~threads
+    ~format:(Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:0)
 
 (** The striped-lock correctness gate ([make races] runs these next to
     {!default_scenarios}): shared-directory create/rename traffic with
@@ -520,73 +513,21 @@ let striped_scenarios ~threads =
    left pending) and race-free (distinct slots never share lines; a
    contended slot is handed over lock-to-lock). *)
 let ring_rename_scenario ~threads =
-  {
-    name = "ring-rename";
-    threads;
-    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:4;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/s/" ^ name_in_row ~row:(tid + 8) 1));
-  }
+  shared_rename_scenario ~name:"ring-rename" ~cross:false ~threads
+    ~format:(Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:4)
 
 (* Cross-directory renames sharing one source directory: every thread
    claims a slot of the SAME source ring concurrently. *)
 let ring_xrename_scenario ~threads =
-  {
-    name = "ring-xrename";
-    threads;
-    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:4;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        Fs.mkdir fs "/d";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "xrename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/d/" ^ name_in_row ~row:tid 1));
-  }
+  shared_rename_scenario ~name:"ring-xrename" ~cross:true ~threads
+    ~format:(Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:4)
 
 (* Slot contention: more threads than ring slots forces the claim loop
    through its ring-full fallback (blocking on the hint slot), which
    must still serialize correctly. *)
 let ring_contention_scenario ~threads =
-  {
-    name = "ring-contention";
-    threads;
-    format = Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:1;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/s/" ^ name_in_row ~row:(tid + 8) 1));
-  }
+  shared_rename_scenario ~name:"ring-contention" ~cross:false ~threads
+    ~format:(Explore.scaled_fs ~cores:threads ~range_locks:false ~log_ring:1)
 
 (** The log-ring correctness gate ([make races] runs these next to the
     default, striped and data lists): concurrent renames over one
@@ -751,15 +692,16 @@ let range_append_scenario ~threads =
         Fs.close ~ctx fs fd);
   }
 
-(* Append racing truncate(0): the whole-file fence serializes them, so
-   the result is one of exactly two legal serializations — truncated
-   after the append (empty file) or before it (just the appended page).
-   Not schedule-invariant by design. *)
-let range_append_truncate_scenario ~threads:_ =
+(* Append racing a truncation to 0 ([truncate], site [trunc_site]) on
+   [format]'s volume: the file's exclusive lock serializes them, so the
+   result is one of exactly two legal serializations — truncated after
+   the append (empty file) or before it (just the appended page).  Not
+   schedule-invariant by design. *)
+let append_truncate_scenario ~name ~format ~trunc_site ~truncate =
   {
-    name = "range-append-trunc";
+    name;
     threads = 2;
-    format = Explore.scaled_fs ~cores:2 ~range_locks:true ~log_ring:0;
+    format;
     invariant = false;
     check_final =
       Some
@@ -785,10 +727,28 @@ let range_append_truncate_scenario ~threads:_ =
           Fs.close ~ctx fs fd
         end
         else begin
-          site "truncate";
-          Fs.truncate ~ctx fs "/f" 0
+          site trunc_site;
+          truncate ~ctx fs
         end);
   }
+
+(* The range volume's fence against truncate(2). *)
+let range_append_truncate_scenario ~threads:_ =
+  append_truncate_scenario ~name:"range-append-trunc"
+    ~format:(Explore.scaled_fs ~cores:2 ~range_locks:true ~log_ring:0)
+    ~trunc_site:"truncate"
+    ~truncate:(fun ~ctx fs -> Fs.truncate ~ctx fs "/f" 0)
+
+(** The whole-file lock against an O_TRUNC open on the seed format,
+    under the same oracle: O_TRUNC shares truncate's resize path, file
+    lock included.  Not part of {!data_scenarios} (not a range-volume
+    gate). *)
+let otrunc_append_scenario =
+  append_truncate_scenario ~name:"append-otrunc"
+    ~format:(Explore.seed_fs ~cores:2) ~trunc_site:"otrunc"
+    ~truncate:(fun ~ctx fs ->
+      Fs.close ~ctx fs
+        (Fs.openf ~ctx fs { Types.wronly with Types.trunc = true } "/f"))
 
 (** The range-locking correctness gate ([make races] runs these next to
     the default and striped lists): concurrent byte-level traffic on one

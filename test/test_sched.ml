@@ -67,6 +67,18 @@ let test_data_schedule_invariant () =
 let test_ring_schedule_invariant () =
   List.iter check_invariant (Sched.ring_scenarios ~threads:2)
 
+(* an O_TRUNC open racing an append on the seed format: O_TRUNC must
+   take the file lock like truncate(2), so every schedule ends in one of
+   the two serializations (empty, or just the append's page) with a
+   fsck-clean volume and no race — unlocked, it lost blocks *)
+let test_otrunc_append_serialized () =
+  let st = Sched.run ~budget:64 Sched.otrunc_append_scenario in
+  Alcotest.(check bool) "several distinct schedules" true
+    (st.Sched.distinct >= 2);
+  Alcotest.(check (list (pair string string))) "no oracle failures" []
+    st.Sched.failures;
+  Alcotest.(check int) "no races" 0 (List.length st.Sched.races)
+
 (* --- parallel recovery --------------------------------------------------- *)
 
 (* Fiber-mode recovery over a crashed image: every random worker
@@ -145,6 +157,8 @@ let () =
           Alcotest.test_case "striped" `Quick test_striped_schedule_invariant;
           Alcotest.test_case "data range" `Quick test_data_schedule_invariant;
           Alcotest.test_case "log ring" `Quick test_ring_schedule_invariant;
+          Alcotest.test_case "append vs O_TRUNC" `Quick
+            test_otrunc_append_serialized;
           Alcotest.test_case "parallel recovery" `Quick
             test_recovery_schedule_independent;
           Alcotest.test_case "parallel recovery with poison" `Quick

@@ -211,6 +211,22 @@ let test_owner_word_enforcement () =
   Fs.close fs fd;
   expect_eacces (fun () -> Fs.openf fs Types.wronly "/home/mine")
 
+(* O_TRUNC writes the file: a tenant that may only read it must not be
+   able to empty it through a read-only open *)
+let test_otrunc_needs_write_permission () =
+  let _, fs = mk_secure () in
+  Fs.mkdir fs ~perm:0o777 "/home";
+  Fs.set_creds fs ~euid:1000 ~egid:1000;
+  Fs.create_file fs ~perm:0o644 "/home/f";
+  let fd = Fs.openf fs Types.wronly "/home/f" in
+  ignore (Fs.append fs fd (Bytes.of_string "secret"));
+  Fs.close fs fd;
+  Fs.set_creds fs ~euid:1001 ~egid:1001;
+  expect_eacces (fun () ->
+      Fs.openf fs { Types.rdonly with Types.trunc = true } "/home/f");
+  Alcotest.(check int) "file keeps its bytes" 6
+    (Fs.stat fs "/home/f").Types.size
+
 let test_owner_word_travels_with_rename () =
   let _, fs = mk_secure () in
   Fs.mkdir fs ~perm:0o777 "/home";
@@ -356,6 +372,8 @@ let () =
         [
           Alcotest.test_case "owner word enforcement" `Quick
             test_owner_word_enforcement;
+          Alcotest.test_case "O_TRUNC needs write permission" `Quick
+            test_otrunc_needs_write_permission;
           Alcotest.test_case "owner word travels with rename" `Quick
             test_owner_word_travels_with_rename;
           Alcotest.test_case "readdir needs read permission" `Quick
