@@ -35,7 +35,6 @@ let experiments : (string * string * (scale:float -> unit)) list =
     ("sched", "schedule exploration + happens-before race detection",
      Exp_sched.run);
     ("ablation", "ablations of Simurgh design choices", Exp_ablation.run);
-    ("bechamel", "wall-clock hot paths (host CPU)", Exp_bechamel.run);
     ("region", "NVMM region data-path microbenchmark (wall-clock)",
      Exp_region.run);
     ("scale", "metadata scalability: seed vs striped/cached Simurgh",

@@ -110,10 +110,15 @@ let set_owner r e ~uid ~gid ~perm =
   Region.write_u62 r (f_owner e) (pack_owner ~uid ~gid ~perm);
   Region.persist r (f_owner e) 8
 
-(** [(uid, gid, mode)] from the owner word. *)
-let owner r e =
-  let w = Region.read_u62 r (f_owner e) in
+(** The packed owner word itself (what the resolve cache carries). *)
+let owner_word r e = Region.read_u62 r (f_owner e)
+
+(** [(uid, gid, mode)] from a packed owner word. *)
+let unpack_owner w =
   ((w lsr 36) land 0xffffff, (w lsr 12) land 0xffffff, w land 0xfff)
+
+(** [(uid, gid, mode)] from the owner word. *)
+let owner r e = unpack_owner (owner_word r e)
 
 let copy_owner r ~src ~dst =
   Region.write_u62 r (f_owner dst) (Region.read_u62 r (f_owner src));

@@ -260,6 +260,7 @@ let of_layout ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000)
             ("rcache/misses", float_of_int s.Rcache.misses);
             ("rcache/inserts", float_of_int s.Rcache.inserts);
             ("rcache/invalidations", float_of_int s.Rcache.invalidations);
+            ("rcache/evictions", float_of_int s.Rcache.evictions);
           ]);
   fs
 
@@ -513,15 +514,24 @@ let check_perm ?ctx t inode ~want =
 (* Fentry-based permission check: on secure media the packed owner/mode
    word sits in the file entry the lookup just read, so the protected
    entry point checks it without touching the inode line (one cached
-   word compare, charged as [perm_check_cycles]).  Legacy media falls
-   back to the inode-based check above with no extra charge — the
-   published figures are unchanged. *)
-let check_perm_fe ?ctx t fe ~want =
+   word compare, charged as [perm_check_cycles]).  A [word] delivered by
+   a resolve-cache hit arrived inside the DRAM probe already paid for,
+   so it is evaluated with no further charge.  Legacy media falls back
+   to the inode-based check above with no extra charge — the published
+   figures are unchanged. *)
+let check_perm_fe ?ctx ?word t fe ~want =
   if t.secure then begin
     let euid, egid = creds ?ctx t in
     if euid <> 0 then begin
-      Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.perm_check_cycles;
-      let uid, gid, m = Fentry.owner t.region fe in
+      let w =
+        match word with
+        | Some w -> w
+        | None ->
+            Charge.cpu ?ctx
+              (cmodel ctx).Simurgh_sim.Cost_model.perm_check_cycles;
+            Fentry.owner_word t.region fe
+      in
+      let uid, gid, m = Fentry.unpack_owner w in
       let bits =
         if uid = euid then (m lsr 6) land 7
         else if gid = egid then (m lsr 3) land 7
@@ -535,12 +545,17 @@ let check_perm_fe ?ctx t fe ~want =
 (* --- path resolution ----------------------------------------------------- *)
 
 (* A resolved parent directory: its file entry (whose [dirblock] heads the
-   hash chain) plus that head pointer. *)
-type dirref = { dfentry : int; dhead : int }
+   hash chain), that head pointer, and the owner word a resolve-cache hit
+   delivered with the entry ([None]: the root or a row-scan result, whose
+   word the permission check reads from the fentry). *)
+type dirref = { dfentry : int; dhead : int; word : int option }
 
 let root_dirref t =
   let fe = Layout.root_fentry t.layout in
-  { dfentry = fe; dhead = Fentry.dirblock t.region fe }
+  { dfentry = fe; dhead = Fentry.dirblock t.region fe; word = None }
+
+let check_perm_dir ?ctx t (d : dirref) ~want =
+  check_perm_fe ?ctx ?word:d.word t d.dfentry ~want
 
 (* Owner uid of a directory, for quota-charging its chain/spill blocks;
    [None] when quotas were never enabled (the common case, zero cost). *)
@@ -559,27 +574,37 @@ let dir_lookup ?ctx t (d : dirref) comp =
   Charge.cpu ?ctx 40.0 (* name hash + compare *);
   found
 
+(* Warm the resolve cache with [name] -> [fe] under [d], together with
+   the owner word of [fe]: the caller has just scanned or stamped that
+   line, so reading the word charges nothing. *)
+let rcache_insert t (d : dirref) name fe =
+  match t.rcache with
+  | None -> ()
+  | Some rc ->
+      let word = if t.secure then Fentry.owner_word t.region fe else 0 in
+      Rcache.insert rc ~dir:d.dhead name ~word fe
+
 (* Resolution-path lookup: consult the resolve cache first (one DRAM
    probe on a hit instead of an NVMM row scan), fall back to the row
-   scan and warm the cache.  Mutating paths keep calling {!dir_lookup}
-   directly — they must observe the rows, not the cache. *)
+   scan and warm the cache.  Returns the file entry and, on a hit, the
+   owner word the probe delivered.  Mutating paths keep calling
+   {!dir_lookup} directly — they must observe the rows, not the cache. *)
 let dir_lookup_fe ?ctx t (d : dirref) comp =
-  match t.rcache with
+  let hit =
+    match t.rcache with
+    | None -> None
+    | Some rc -> Rcache.lookup rc ~dir:d.dhead comp
+  in
+  match hit with
+  | Some (fe, word) ->
+      Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.rcache_hit_cycles;
+      Some (fe, Some word)
   | None -> (
       match dir_lookup ?ctx t d comp with
       | None -> None
-      | Some (_, _, _, fe) -> Some fe)
-  | Some rc -> (
-      match Rcache.lookup rc ~dir:d.dhead comp with
-      | Some fe ->
-          Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.rcache_hit_cycles;
-          Some fe
-      | None -> (
-          match dir_lookup ?ctx t d comp with
-          | None -> None
-          | Some (_, _, _, fe) ->
-              Rcache.insert rc ~dir:d.dhead comp fe;
-              Some fe))
+      | Some (_, _, _, fe) ->
+          rcache_insert t d comp fe;
+          Some (fe, None))
 
 (* Linux resolves up to 40 chained symlinks before ELOOP (the historical
    8 matched only POSIX's SYMLOOP_MAX floor and rejected chains real
@@ -598,13 +623,13 @@ let rec resolve_parent ?ctx ?(depth = 0) t path =
         | parent :: up -> walk up parent rest
         | [] -> walk [] d rest (* root/.. = root *))
     | comp :: rest -> (
-        check_perm_fe ?ctx t d.dfentry ~want:1;
+        check_perm_dir ?ctx t d ~want:1;
         match dir_lookup_fe ?ctx t d comp with
         | None -> Errno.raise_ ENOENT path
-        | Some fe ->
+        | Some (fe, word) ->
             if Fentry.is_dir t.region fe then
               walk (d :: stack)
-                { dfentry = fe; dhead = Fentry.dirblock t.region fe }
+                { dfentry = fe; dhead = Fentry.dirblock t.region fe; word }
                 rest
             else if Fentry.is_symlink t.region fe then begin
               let target = read_symlink_target t fe in
@@ -630,23 +655,28 @@ and read_symlink_target t fe =
       end);
   Buffer.contents buf
 
-(* Resolve a full path to its file entry; [follow] resolves a final
-   symlink component. *)
-let rec resolve ?ctx ?(follow = true) ?(depth = 0) t path =
+(* Resolve a full path to its parent, its file entry and the owner word
+   a resolve-cache hit delivered for that entry (see {!dirref});
+   [follow] resolves a final symlink component. *)
+let rec resolve_word ?ctx ?(follow = true) ?(depth = 0) t path =
   if depth > max_symlink_depth then Errno.raise_ ELOOP path;
   if Path.split path = [] then (* the root itself *)
-    (root_dirref t, Layout.root_fentry t.layout)
+    (root_dirref t, Layout.root_fentry t.layout, None)
   else begin
     let d, final = resolve_parent ?ctx t path in
-    check_perm_fe ?ctx t d.dfentry ~want:1;
+    check_perm_dir ?ctx t d ~want:1;
     match dir_lookup_fe ?ctx t d final with
     | None -> Errno.raise_ ENOENT path
-    | Some fe ->
+    | Some (fe, word) ->
         if follow && Fentry.is_symlink t.region fe then
-          resolve ?ctx ~follow ~depth:(depth + 1) t
+          resolve_word ?ctx ~follow ~depth:(depth + 1) t
             (read_symlink_target t fe)
-        else (d, fe)
+        else (d, fe, word)
   end
+
+let resolve ?ctx ?follow t path =
+  let d, fe, _ = resolve_word ?ctx ?follow t path in
+  (d, fe)
 
 (* --- row locking --------------------------------------------------------- *)
 
@@ -661,11 +691,6 @@ let set_row_busy ?ctx t (d : dirref) row v =
   Charge.write_lines ?ctx 1
 
 (* --- resolve-cache maintenance ------------------------------------------- *)
-
-let rcache_insert t (d : dirref) name fe =
-  match t.rcache with
-  | None -> ()
-  | Some rc -> Rcache.insert rc ~dir:d.dhead name fe
 
 let rcache_invalidate t (d : dirref) name =
   match t.rcache with
@@ -866,7 +891,7 @@ let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
     ~perm ~target_inode =
   Hw.Protected.check_privileged w t.penv.pcpu;
   if String.length n > Fentry.name_max then Errno.raise_ ENAMETOOLONG n;
-  check_perm_fe ?ctx t d.dfentry ~want:3;
+  check_perm_dir ?ctx t d ~want:3;
   let euid, egid = creds ?ctx t in
   (* quota owner of the new object's blocks: a hardlink's name belongs to
      the linked inode's owner, everything else to the creator *)
@@ -1463,7 +1488,7 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
     ~check_dir =
   Hw.Protected.check_privileged w t.penv.pcpu;
   let row = Dirblock.lock_row_of_name n in
-  check_perm_fe ?ctx t d.dfentry ~want:3;
+  check_perm_dir ?ctx t d ~want:3;
   (* block frees are deferred past the row critical section: once the
      slot is zeroed the ranges are unreachable, and freeing them inside
      the busy window would nest allocator-segment contention under the
@@ -1676,7 +1701,7 @@ let rename_shadow ?ctx t w ~shadow_hook (ds : dirref) ~old_n (dd : dirref)
    existing name, [new_n] the new one. *)
 let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
   Hw.Protected.check_privileged w t.penv.pcpu;
-  check_perm_fe ?ctx t d.dfentry ~want:3;
+  check_perm_dir ?ctx t d ~want:3;
   let old_row = Dirblock.lock_row_of_name old_n in
   lock_rows ?ctx t [ (d, old_row); (d, Dirblock.lock_row_of_name new_n) ]
     (fun () ->
@@ -1718,8 +1743,8 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
    the transaction (paper Fig. 5 text). *)
 let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
   Hw.Protected.check_privileged w t.penv.pcpu;
-  check_perm_fe ?ctx t ds.dfentry ~want:3;
-  check_perm_fe ?ctx t dd.dfentry ~want:3;
+  check_perm_dir ?ctx t ds ~want:3;
+  check_perm_dir ?ctx t dd ~want:3;
   let src_row = Dirblock.lock_row_of_name old_n in
   let dst_row = Dirblock.lock_row_of_name new_n in
   lock_rows ?ctx t [ (ds, src_row); (dd, dst_row) ] (fun () ->
@@ -1834,24 +1859,25 @@ let openf ?ctx t (flags : Types.open_flags) path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_open @@ fun w ->
-  let fe =
-    match resolve ?ctx t path with
-    | _, fe ->
+  let fe, word =
+    match resolve_word ?ctx t path with
+    | _, fe, word ->
         if flags.Types.excl && flags.Types.create then Errno.raise_ EEXIST path;
-        fe
+        (fe, word)
     | exception Errno.Err (ENOENT, _) when flags.Types.create ->
         let d, n = resolve_parent ?ctx t path in
-        create_at ?ctx t w d ~name:n ~kind:Inode.File ~perm:0o644
-          ~target_inode:None
+        ( create_at ?ctx t w d ~name:n ~kind:Inode.File ~perm:0o644
+            ~target_inode:None,
+          None )
     | exception e -> raise e
   in
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
-  if flags.Types.read then check_perm_fe ?ctx t fe ~want:4;
+  if flags.Types.read then check_perm_fe ?ctx ?word t fe ~want:4;
   (* O_TRUNC writes the file, so it needs write permission even on a
      read-only open (Linux adds MAY_WRITE for it) *)
   if flags.Types.write || flags.Types.trunc then
-    check_perm_fe ?ctx t fe ~want:2;
+    check_perm_fe ?ctx ?word t fe ~want:2;
   if flags.Types.trunc then
     resize ?ctx t inode (truncate_data ?ctx t w inode 0);
   let mode =
@@ -1958,19 +1984,19 @@ let truncate ?ctx t path len =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_truncate @@ fun w ->
-  let _, fe = resolve ?ctx t path in
+  let _, fe, word = resolve_word ?ctx t path in
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
-  check_perm_fe ?ctx t fe ~want:2;
+  check_perm_fe ?ctx ?word t fe ~want:2;
   resize ?ctx t inode (truncate_data ?ctx t w inode len)
 
 let readdir ?ctx t path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_readdir @@ fun _w ->
-  let _, fe = resolve ?ctx t path in
+  let _, fe, word = resolve_word ?ctx t path in
   if not (Fentry.is_dir t.region fe) then Errno.raise_ ENOTDIR path;
-  check_perm_fe ?ctx t fe ~want:4;
+  check_perm_fe ?ctx ?word t fe ~want:4;
   let head = Fentry.dirblock t.region fe in
   let names = ref [] in
   let blocks = ref 0 in
@@ -2016,7 +2042,7 @@ let chmod ?ctx t path perm =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_chmod @@ fun _w ->
-  let _, fe = resolve ?ctx t path in
+  let d, fe = resolve ?ctx t path in
   let inode = Fentry.target t.region fe in
   let euid, _ = creds ?ctx t in
   let owner_uid =
@@ -2032,10 +2058,15 @@ let chmod ?ctx t path perm =
   Region.persist t.region inode 8;
   (* keep the fentry-side word the protected checks read in sync; a
      hardlinked inode's sibling names keep their stamped word (documented
-     deviation — see DESIGN.md §16) *)
+     deviation — see DESIGN.md §16).  The name's resolve-cache entry
+     carries the old word: drop it, so every mount's next hop through
+     this name re-reads the fentry. *)
   if t.secure then begin
     let uid, gid, _ = Fentry.owner t.region fe in
-    Fentry.set_owner t.region fe ~uid ~gid ~perm:(perm land Inode.perm_mask)
+    Fentry.set_owner t.region fe ~uid ~gid ~perm:(perm land Inode.perm_mask);
+    match t.rcache with
+    | Some rc -> Rcache.invalidate rc ~dir:d.dhead (Fentry.name t.region fe)
+    | None -> ()
   end;
   Charge.write_lines ?ctx 1
 

@@ -8,15 +8,30 @@
     traffic — which is exactly why the user-level cache scales where the
     kernel one collapses.
 
+    On secure media an entry also carries the packed owner word of the
+    file entry it maps to, read at insert time from the line the caller
+    has just scanned or stamped.  A hop that hits the cache checks
+    permissions against that word instead of re-reading the fentry.  The
+    word has exactly the trust of the fentry pointer next to it: both
+    live in the shared DRAM only protected code writes, and every store
+    to an owner word on media ({!Fs.chmod}) drops the name's entry.
+
     Consistency is generation-based.  Every directory (keyed by its
     first hash block, the same identity the lock registry uses) has a
     volatile generation number; an entry records the generation seen at
     insert time and is valid only while it still matches.  Name-level
-    mutations (unlink, rename) both remove the exact key and leave the
+    mutations (unlink, rename, chmod) remove the exact key and leave the
     sibling entries alone; directory-level teardown (rmdir, recovery)
     bumps the generation, which kills every cached child at once — and,
     because generations are never reset, also protects against a freed
     first-block address being reused by a new directory.
+
+    Capacity is bounded by CLOCK (second-chance) eviction over a ring of
+    at most [capacity] slots: a hit sets the entry's reference bit, and
+    an insert into a full ring sweeps the hand past referenced slots
+    (clearing their bits) to the first unreferenced one.  Removed entries (name
+    invalidation, stale-generation reaping, {!clear}) return their slots
+    to a free stack that later inserts pop first.
 
     The table lives in shared DRAM (it travels with {!Fs.mount}'s shared
     state), so an unlink in one process invalidates the entry for all of
@@ -25,65 +40,152 @@
     virtual-time engine; the structure itself is host-side and charges
     nothing — the cost model charge for a hit lives at the call site. *)
 
-type entry = {
-  fe : int;  (** file-entry pptr *)
-  gen : int;  (** parent generation at insert time *)
-}
-
 type t = {
-  table : (int * string, entry) Hashtbl.t;
-      (** (parent first hash block, component) -> entry *)
+  index : (int * string, int) Hashtbl.t;
+      (** (parent first hash block, component) -> ring slot *)
   gens : (int, int) Hashtbl.t;  (** dir head -> generation (sticky) *)
   capacity : int;
+  (* the ring, one array per field so an entry costs no block of its
+     own; grown on demand up to [capacity] *)
+  mutable keys : (int * string) array;  (** [vacant] when unused *)
+  mutable fes : int array;  (** file-entry pptr *)
+  mutable words : int array;
+      (** packed owner word of the fentry (secure media; else 0) *)
+  mutable egens : int array;  (** parent generation at insert time *)
+  mutable referenced : bool array;  (** CLOCK second-chance bits *)
+  mutable used : int;  (** slots ever handed out: [0, used) *)
+  mutable free : int list;  (** released slots, reused first *)
+  mutable hand : int;  (** CLOCK hand, sweeps only a full ring *)
   mutable hits : int;
   mutable misses : int;
   mutable inserts : int;
   mutable invalidations : int;
+  mutable evictions : int;
 }
 
+let vacant = (-1, "")
+let initial_slots capacity = min capacity 1024
+
 let create ?(capacity = 1 lsl 16) () =
+  if capacity < 1 then invalid_arg "Rcache.create: capacity must be >= 1";
+  let n = initial_slots capacity in
   {
-    table = Hashtbl.create 4096;
+    index = Hashtbl.create 4096;
     gens = Hashtbl.create 256;
     capacity;
+    keys = Array.make n vacant;
+    fes = Array.make n 0;
+    words = Array.make n 0;
+    egens = Array.make n 0;
+    referenced = Array.make n false;
+    used = 0;
+    free = [];
+    hand = 0;
     hits = 0;
     misses = 0;
     inserts = 0;
     invalidations = 0;
+    evictions = 0;
   }
 
 let generation t dir =
   match Hashtbl.find_opt t.gens dir with Some g -> g | None -> 0
 
+(** Live entries (stale ones not yet reaped included); never above the
+    capacity. *)
+let size t = Hashtbl.length t.index
+
+let release t s =
+  Hashtbl.remove t.index t.keys.(s);
+  t.keys.(s) <- vacant;
+  t.free <- s :: t.free
+
+(* Second chance: clear referenced bits until the hand reaches an
+   unreferenced entry and evict it.  Runs only on a full ring (no free
+   slot, [used = capacity]); at most one revolution clears every bit, so
+   the sweep ends within [capacity + 1] steps. *)
+let rec evict t =
+  let s = t.hand in
+  t.hand <- (s + 1) mod t.capacity;
+  if t.referenced.(s) then begin
+    t.referenced.(s) <- false;
+    evict t
+  end
+  else begin
+    Hashtbl.remove t.index t.keys.(s);
+    t.evictions <- t.evictions + 1;
+    s
+  end
+
+let grow t =
+  let n = min t.capacity (2 * t.used) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.used;
+    b
+  in
+  t.keys <- extend t.keys vacant;
+  t.fes <- extend t.fes 0;
+  t.words <- extend t.words 0;
+  t.egens <- extend t.egens 0;
+  t.referenced <- extend t.referenced false
+
+let take_slot t =
+  match t.free with
+  | s :: rest ->
+      t.free <- rest;
+      s
+  | [] when t.used < t.capacity ->
+      if t.used = Array.length t.keys then grow t;
+      t.used <- t.used + 1;
+      t.used - 1
+  | [] -> evict t
+
+(** [Some (fe, word)]: the file entry [name] maps to under [dir] and its
+    owner word. *)
 let lookup t ~dir name =
-  match Hashtbl.find_opt t.table (dir, name) with
-  | Some e when e.gen = generation t dir ->
+  match Hashtbl.find_opt t.index (dir, name) with
+  | Some s when t.egens.(s) = generation t dir ->
+      t.referenced.(s) <- true;
       t.hits <- t.hits + 1;
-      Some e.fe
-  | Some _ ->
+      Some (t.fes.(s), t.words.(s))
+  | Some s ->
       (* stale generation: reap lazily *)
-      Hashtbl.remove t.table (dir, name);
+      release t s;
       t.misses <- t.misses + 1;
       None
   | None ->
       t.misses <- t.misses + 1;
       None
 
-let insert t ~dir name fe =
-  (* cheap epoch flush instead of LRU: the sim working sets are far below
-     any realistic capacity, so hitting the cap at all means a scan-like
-     workload where dropping everything is the right call anyway *)
-  if Hashtbl.length t.table >= t.capacity then Hashtbl.reset t.table;
+(** Map [name] under [dir] to file entry [fe] whose owner word is
+    [word]; replaces an existing entry for the key in its slot. *)
+let insert t ~dir name ~word fe =
   t.inserts <- t.inserts + 1;
-  Hashtbl.replace t.table (dir, name) { fe; gen = generation t dir }
+  let key = (dir, name) in
+  let s =
+    match Hashtbl.find_opt t.index key with
+    | Some s -> s
+    | None ->
+        let s = take_slot t in
+        t.keys.(s) <- key;
+        Hashtbl.replace t.index key s;
+        s
+  in
+  t.fes.(s) <- fe;
+  t.words.(s) <- word;
+  t.egens.(s) <- generation t dir;
+  t.referenced.(s) <- false
 
 (** Name-level invalidation: the entry for [name] under [dir] is gone
-    (unlink, rename source, replaced rename destination). *)
+    (unlink, rename source, replaced rename destination) or its owner
+    word changed (chmod). *)
 let invalidate t ~dir name =
-  if Hashtbl.mem t.table (dir, name) then begin
-    Hashtbl.remove t.table (dir, name);
-    t.invalidations <- t.invalidations + 1
-  end
+  match Hashtbl.find_opt t.index (dir, name) with
+  | Some s ->
+      release t s;
+      t.invalidations <- t.invalidations + 1
+  | None -> ()
 
 (** Directory-level invalidation: every cached child of [dir] dies.
     Generations are bumped, never reset, so a later directory reusing
@@ -95,9 +197,19 @@ let invalidate_dir t dir =
 let clear t =
   (* volatile state rebuild (recovery): entries vanish, generations stay
      sticky so nothing stale can ever revalidate *)
-  Hashtbl.reset t.table
+  Hashtbl.reset t.index;
+  Array.fill t.keys 0 t.used vacant;
+  t.used <- 0;
+  t.free <- [];
+  t.hand <- 0
 
-type stats = { hits : int; misses : int; inserts : int; invalidations : int }
+type stats = {
+  hits : int;
+  misses : int;
+  inserts : int;
+  invalidations : int;
+  evictions : int;
+}
 
 let stats (t : t) : stats =
   {
@@ -105,4 +217,5 @@ let stats (t : t) : stats =
     misses = t.misses;
     inserts = t.inserts;
     invalidations = t.invalidations;
+    evictions = t.evictions;
   }

@@ -63,11 +63,13 @@ type t = {
           times are unchanged; raise it to ablate the stack-relocation
           cost separately *)
   perm_check_cycles : float;
-      (** per-operation cost of the in-protected-region permission check
-          against the fentry owner/mode word (one cached metadata word
-          compare).  Charged only when the volume was formatted with the
-          [secure] flag, so legacy media and the published figures are
-          unaffected *)
+      (** cost of one in-protected-region permission check that reads
+          the owner/mode word from the NVMM fentry (one cached metadata
+          word compare).  Charged only when the volume was formatted with
+          the [secure] flag, so legacy media and the published figures
+          are unaffected, and only when the word is read from the
+          fentry: a word delivered by a resolve-cache hit arrives inside
+          the {!rcache_hit_cycles} probe and is checked for free *)
 }
 
 let default =

@@ -443,30 +443,97 @@ let test_rcache_fs_invalidation () =
 let test_rcache_unit () =
   let module Rc = Simurgh_core.Rcache in
   let rc = Rc.create () in
-  Alcotest.(check (option int)) "cold miss" None (Rc.lookup rc ~dir:7 "a");
-  Rc.insert rc ~dir:7 "a" 100;
-  Alcotest.(check (option int)) "hit" (Some 100) (Rc.lookup rc ~dir:7 "a");
-  Alcotest.(check (option int)) "other dir" None (Rc.lookup rc ~dir:8 "a");
+  let fe_of rc ~dir name = Option.map fst (Rc.lookup rc ~dir name) in
+  Alcotest.(check (option int)) "cold miss" None (fe_of rc ~dir:7 "a");
+  Rc.insert rc ~dir:7 "a" ~word:0o640 100;
+  Alcotest.(check (option int)) "hit" (Some 100) (fe_of rc ~dir:7 "a");
+  Alcotest.(check (option int)) "hit carries the owner word" (Some 0o640)
+    (Option.map snd (Rc.lookup rc ~dir:7 "a"));
+  Alcotest.(check (option int)) "other dir" None (fe_of rc ~dir:8 "a");
   Rc.invalidate rc ~dir:7 "a";
-  Alcotest.(check (option int)) "name invalidated" None
-    (Rc.lookup rc ~dir:7 "a");
-  Rc.insert rc ~dir:7 "a" 100;
-  Rc.insert rc ~dir:7 "b" 101;
+  Alcotest.(check (option int)) "name invalidated" None (fe_of rc ~dir:7 "a");
+  Rc.insert rc ~dir:7 "a" ~word:0 100;
+  Rc.insert rc ~dir:7 "b" ~word:0 101;
   Rc.invalidate_dir rc 7;
-  Alcotest.(check (option int)) "gen bump kills a" None
-    (Rc.lookup rc ~dir:7 "a");
-  Alcotest.(check (option int)) "gen bump kills b" None
-    (Rc.lookup rc ~dir:7 "b");
+  Alcotest.(check (option int)) "gen bump kills a" None (fe_of rc ~dir:7 "a");
+  Alcotest.(check (option int)) "gen bump kills b" None (fe_of rc ~dir:7 "b");
   (* inserts after the bump are valid under the new generation *)
-  Rc.insert rc ~dir:7 "a" 200;
+  Rc.insert rc ~dir:7 "a" ~word:0 200;
   Alcotest.(check (option int)) "new gen entry" (Some 200)
-    (Rc.lookup rc ~dir:7 "a");
+    (fe_of rc ~dir:7 "a");
   (* clear drops entries but generations stay sticky *)
   Rc.clear rc;
-  Alcotest.(check (option int)) "cleared" None (Rc.lookup rc ~dir:7 "a");
+  Alcotest.(check (option int)) "cleared" None (fe_of rc ~dir:7 "a");
   let s = Rc.stats rc in
   Alcotest.(check int) "inserts counted" 4 s.Rc.inserts;
-  Alcotest.(check bool) "invalidations counted" true (s.Rc.invalidations >= 2)
+  Alcotest.(check bool) "invalidations counted" true (s.Rc.invalidations >= 2);
+  Alcotest.(check int) "nothing evicted below capacity" 0 s.Rc.evictions
+
+(* CLOCK eviction: the table is bounded by its capacity, a re-referenced
+   hot set survives a cold scan, and removed entries free their slots.
+   The capacity is past the ring's first allocation, so it also grows. *)
+let test_rcache_clock () =
+  let module Rc = Simurgh_core.Rcache in
+  let cap = 1500 in
+  let rc = Rc.create ~capacity:cap () in
+  let hot = List.init 4 (fun i -> Printf.sprintf "hot%d" i) in
+  List.iter (fun n -> Rc.insert rc ~dir:1 n ~word:0 1) hot;
+  for i = 0 to (4 * cap) - 1 do
+    Rc.insert rc ~dir:2 (Printf.sprintf "cold%d" i) ~word:0 i;
+    Alcotest.(check bool) "never above capacity" true (Rc.size rc <= cap);
+    List.iter (fun n -> ignore (Rc.lookup rc ~dir:1 n)) hot
+  done;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " survives the scan") true
+        (Rc.lookup rc ~dir:1 n <> None))
+    hot;
+  Alcotest.(check int) "full ring" cap (Rc.size rc);
+  (* every cold insert past the first free slots evicted exactly one *)
+  let evicted = (Rc.stats rc).Rc.evictions in
+  Alcotest.(check int) "one eviction per overflowing insert"
+    ((4 * cap) + List.length hot - cap)
+    evicted;
+  (* the newest cold entry is resident; the oldest ones are gone *)
+  Alcotest.(check bool) "newest cold resident" true
+    (Rc.lookup rc ~dir:2 (Printf.sprintf "cold%d" ((4 * cap) - 1)) <> None);
+  Alcotest.(check bool) "oldest cold evicted" true
+    (Rc.lookup rc ~dir:2 "cold0" = None);
+  (* invalidation and stale-generation reaping free slots: the next
+     inserts reuse them without evicting anything *)
+  Rc.invalidate rc ~dir:1 "hot0";
+  Rc.invalidate_dir rc 1;
+  Alcotest.(check bool) "stale entry reaped" true
+    (Rc.lookup rc ~dir:1 "hot1" = None);
+  Alcotest.(check int) "two slots freed" (cap - 2) (Rc.size rc);
+  Rc.insert rc ~dir:3 "x" ~word:0 1;
+  Rc.insert rc ~dir:3 "y" ~word:0 2;
+  Alcotest.(check int) "freed slots reused" evicted
+    (Rc.stats rc).Rc.evictions;
+  Alcotest.(check int) "ring full again" cap (Rc.size rc);
+  (* clear empties the ring; generations stay sticky *)
+  Rc.clear rc;
+  Alcotest.(check int) "cleared ring" 0 (Rc.size rc);
+  Alcotest.(check bool) "stale dir stays stale" true
+    (Rc.lookup rc ~dir:1 "hot2" = None);
+  Rc.insert rc ~dir:1 "hot2" ~word:0 5;
+  Alcotest.(check bool) "fresh insert after clear" true
+    (Rc.lookup rc ~dir:1 "hot2" <> None);
+  Alcotest.(check bool) "generation survived clear" true
+    (Rc.generation rc 1 = 1);
+  (* a one-slot cache still works; a zero-slot one is refused *)
+  let one = Rc.create ~capacity:1 () in
+  Rc.insert one ~dir:0 "a" ~word:0 1;
+  ignore (Rc.lookup one ~dir:0 "a");
+  Rc.insert one ~dir:0 "b" ~word:0 2;
+  Alcotest.(check int) "one-slot ring" 1 (Rc.size one);
+  Alcotest.(check bool) "one-slot newest" true (Rc.lookup one ~dir:0 "b" <> None);
+  List.iter
+    (fun capacity ->
+      match Rc.create ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 (* --- byte-range data path (range_locks) ---------------------------------- *)
 
@@ -928,6 +995,7 @@ let () =
           Alcotest.test_case "rcache FS invalidation" `Quick
             test_rcache_fs_invalidation;
           Alcotest.test_case "rcache unit" `Quick test_rcache_unit;
+          Alcotest.test_case "rcache CLOCK eviction" `Quick test_rcache_clock;
           Alcotest.test_case "feature word" `Quick test_feature_word;
         ] );
       ("posix-ring", Posix_ring.suite);

@@ -204,6 +204,7 @@ let test_collect_cache_counters () =
       "rcache/misses";
       "rcache/inserts";
       "rcache/invalidations";
+      "rcache/evictions";
     ];
   Alcotest.(check bool) "dcache hits nonzero" true
     (Metrics.get run.Run.counters "dcache/hits" > 0.0);

@@ -252,6 +252,142 @@ let test_readdir_needs_read_permission () =
   Alcotest.(check bool) "traverse allowed" true (Fs.exists fs "/opaque/f");
   expect_eacces (fun () -> Fs.readdir fs "/opaque")
 
+(* --- the resolve cache carries the owner word --------------------------- *)
+
+(* A secure volume with the resolve cache on, a root mount and two tenant
+   mounts sharing it (one region, one shared-DRAM state). *)
+let mk_secure_rcache () =
+  let region = Region.create (32 * 1024 * 1024) in
+  let root = Fs.mkfs ~euid:0 ~egid:0 ~secure:true ~rcache:true region in
+  let tenant uid = Fs.mount ~euid:uid ~egid:uid region in
+  (region, root, tenant 1000, tenant 1001)
+
+let rcache_hits fs =
+  match Fs.rcache_of fs with
+  | Some rc -> (Simurgh_core.Rcache.stats rc).Simurgh_core.Rcache.hits
+  | None -> Alcotest.fail "rcache expected"
+
+let open_close fs path =
+  let fd = Fs.openf fs Types.rdonly path in
+  Fs.close fs fd
+
+(* Tenant 1000 owns /t/a/b/f; both tenants resolve it through the warm
+   cache. *)
+let warm_tree root t1 t2 =
+  Fs.mkdir root ~perm:0o777 "/t";
+  Fs.mkdir t1 ~perm:0o755 "/t/a";
+  Fs.mkdir t1 ~perm:0o755 "/t/a/b";
+  Fs.create_file t1 ~perm:0o644 "/t/a/b/f";
+  ignore (Fs.stat t1 "/t/a/b/f");
+  open_close t1 "/t/a/b/f";
+  ignore (Fs.stat t2 "/t/a/b/f");
+  open_close t2 "/t/a/b/f"
+
+(* A permission revoked by chmod on any mount is refused on the very next
+   hop of every other tenant, although each hop through the directory
+   and the leaf is served from the cache. *)
+let test_chmod_revokes_cached_hops () =
+  let _, root, t1, t2 = mk_secure_rcache () in
+  warm_tree root t1 t2;
+  let before = rcache_hits t2 in
+  ignore (Fs.stat t2 "/t/a/b/f");
+  Alcotest.(check int) "warm stat hits every component" (before + 4)
+    (rcache_hits t2);
+  (* a directory: traversal is revoked for others *)
+  Fs.chmod root "/t/a" 0o700;
+  expect_eacces (fun () -> Fs.stat t2 "/t/a/b/f");
+  expect_eacces (fun () -> open_close t2 "/t/a/b/f");
+  ignore (Fs.stat t1 "/t/a/b/f");
+  Fs.chmod root "/t/a" 0o755;
+  ignore (Fs.stat t2 "/t/a/b/f");
+  open_close t2 "/t/a/b/f";
+  (* the leaf: reading is revoked for others, stat still resolves *)
+  Fs.chmod root "/t/a/b/f" 0o600;
+  expect_eacces (fun () -> open_close t2 "/t/a/b/f");
+  ignore (Fs.stat t2 "/t/a/b/f");
+  open_close t1 "/t/a/b/f";
+  Fs.chmod root "/t/a/b/f" 0o644;
+  open_close t2 "/t/a/b/f"
+
+(* Rename replaces a directory's fentry with a shadow that copies its
+   owner word; the cache entry of the new name carries that word, and a
+   chmod of the renamed directory still revokes on the next hop. *)
+let test_cached_word_follows_renamed_dir () =
+  let region, root, t1, t2 = mk_secure_rcache () in
+  warm_tree root t1 t2;
+  Fs.mkdir root ~perm:0o777 "/u";
+  Fs.rename root "/t/a" "/t/z";
+  Fs.rename root "/t/z" "/u/z";
+  ignore (Fs.stat t2 "/u/z/b/f");
+  let d, fe = Fs.resolve root "/u/z" in
+  let cached =
+    match Fs.rcache_of root with
+    | Some rc -> Simurgh_core.Rcache.lookup rc ~dir:d.Fs.dhead "z"
+    | None -> None
+  in
+  (match cached with
+  | Some (cfe, word) ->
+      Alcotest.(check int) "cache maps the shadow fentry" fe cfe;
+      Alcotest.(check int) "cached word is the shadow's word"
+        (Simurgh_core.Fentry.owner_word region fe)
+        word;
+      Alcotest.(check (triple int int int))
+        "shadow word is the original's" (1000, 1000, 0o755)
+        (Simurgh_core.Fentry.unpack_owner word)
+  | None -> Alcotest.fail "renamed directory not cached");
+  Fs.chmod root "/u/z" 0o700;
+  expect_eacces (fun () -> Fs.stat t2 "/u/z/b/f");
+  expect_eacces (fun () -> open_close t2 "/u/z/b/f");
+  Fs.chmod root "/u/z" 0o755;
+  open_close t2 "/u/z/b/f"
+
+(* The resolve layer's cost, cycle for cycle: a hop served by the cache
+   costs its DRAM probe only, a hop through a directory found by a row
+   scan also pays [perm_check_cycles] for reading the owner word. *)
+let test_resolve_cost_exact () =
+  let _, root, tenant, _ = mk_secure_rcache () in
+  List.iter (fun p -> Fs.mkdir root ~perm:0o755 p)
+    [ "/a"; "/a/b"; "/a/b/c"; "/a/b/c/d" ];
+  Fs.create_file root ~perm:0o644 "/a/b/c/d/f";
+  let rc =
+    match Fs.rcache_of root with
+    | Some rc -> rc
+    | None -> Alcotest.fail "rcache expected"
+  in
+  let cm = Simurgh_sim.Cost_model.default in
+  let hit = cm.Simurgh_sim.Cost_model.rcache_hit_cycles
+  and perm = cm.Simurgh_sim.Cost_model.perm_check_cycles in
+  (* a fresh machine per measurement: no device queue carries over *)
+  let cost fs path =
+    let thr = Simurgh_sim.Sthread.create 0 in
+    let ctx = Simurgh_sim.Machine.ctx (Simurgh_sim.Machine.create ()) thr in
+    ignore (Fs.stat ~ctx fs path);
+    Simurgh_sim.Machine.now ctx
+  in
+  let path = "/a/b/c/d/f" in
+  (* entry + the two inode lines: the root resolves with no hop *)
+  let base = cost tenant "/" in
+  ignore (Fs.stat tenant path);
+  Alcotest.(check (float 0.0)) "warm depth-5 stat"
+    (base +. (5.0 *. hit) +. perm)
+    (cost tenant path);
+  (* the tenant pays over root (who skips every check) exactly one
+     [perm_check_cycles] per hop whose directory came from a miss *)
+  let overhead prepare =
+    prepare ();
+    let t = cost tenant path in
+    prepare ();
+    t -. cost root path
+  in
+  Alcotest.(check (float 0.0)) "warm: the root hop only" perm
+    (overhead ignore);
+  Alcotest.(check (float 0.0)) "cold: every hop" (5.0 *. perm)
+    (overhead (fun () -> Simurgh_core.Rcache.clear rc));
+  let a, _ = Fs.resolve root "/a/b" in
+  Alcotest.(check (float 0.0)) "one directory missed: root + that hop"
+    (2.0 *. perm)
+    (overhead (fun () -> Simurgh_core.Rcache.invalidate rc ~dir:a.Fs.dhead "b"))
+
 (* --- adversarial: crash inside a protected rename ---------------------- *)
 
 (* The crash-image explorer composes with the security plane: every
@@ -378,5 +514,14 @@ let () =
             test_owner_word_travels_with_rename;
           Alcotest.test_case "readdir needs read permission" `Quick
             test_readdir_needs_read_permission;
+        ] );
+      ( "resolve-cache",
+        [
+          Alcotest.test_case "chmod revokes cached hops across tenants" `Quick
+            test_chmod_revokes_cached_hops;
+          Alcotest.test_case "cached word follows a renamed directory" `Quick
+            test_cached_word_follows_renamed_dir;
+          Alcotest.test_case "resolve cost is cycle-exact" `Quick
+            test_resolve_cost_exact;
         ] );
     ]
