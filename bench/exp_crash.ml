@@ -134,8 +134,9 @@ let extend_verify fs =
 (* Every single-region machine: (name, format, (setup, op), verify).  The
    scaled ones leave no directory, inode or data object different, so
    every image must recover identically; the striped insert
-   (reserve/busy/grow), the reserve-then-log rename window and the
-   per-thread allocator caches must leave every crash image recoverable
+   (reserve/busy/grow), the reserve-then-log rename window, the
+   per-thread allocator caches (unlink frees through them) and the
+   grouped create barriers must leave every crash image recoverable
    too.  On log-ring media a crash may leave any slot of the ring
    pending, and every image must still recover to an empty ring. *)
 let machines =
@@ -145,6 +146,7 @@ let machines =
     ("rename", seed_fs, rename, None);
     ("cross-rename", seed_fs, xrename, None);
     ("striped-create", scaled_fs, create, None);
+    ("striped-unlink", scaled_fs, unlink, None);
     ("striped-rename", scaled_fs, rename, None);
     ("striped-xrename", scaled_fs, xrename, None);
     ("ring-rename", ring_fs, rename, None);

@@ -152,16 +152,17 @@ let ctx_tid (ctx : Simurgh_sim.Machine.ctx option) =
   | Some c -> c.Simurgh_sim.Machine.thr.Simurgh_sim.Sthread.tid
   | None -> -1
 
-(* Claim [addr]: persist valid+dirty, skipping stale cache entries
+(* Claim [addr]: write valid+dirty, skipping stale cache entries
    (e.g. after recovery rebuilt state).  [retry] resumes the caller's
-   search when the entry was stale. *)
-let claim ?ctx t addr ~retry =
+   search when the entry was stale.  The flag read is always charged;
+   the flag write is persisted and charged here unless [staged]. *)
+let claim ?ctx ~staged t addr ~retry =
   let f = flags t addr in
   if f land (flag_valid lor flag_dirty) <> 0 then retry ()
   else begin
     Region.write_u8 t.region addr (flag_valid lor flag_dirty);
-    Region.persist t.region addr 1;
-    charge ?ctx ~read:1 ~write:1 ();
+    Region.write_back ~staged t.region addr 1;
+    charge ?ctx ~read:1 ~write:(if staged then 0 else 1) ();
     t.live <- t.live + 1;
     t.allocs <- t.allocs + 1;
     Some (payload addr)
@@ -170,23 +171,33 @@ let claim ?ctx t addr ~retry =
 (** Allocate one object: returns the *payload* address with valid+dirty
     set and persisted.  The caller initializes the payload and then calls
     [commit] to clear the dirty bit.  Returns [None] when NVMM is
-    exhausted. *)
-let rec alloc ?ctx t =
-  let tid = ctx_tid ctx in
-  if t.tcache_enabled && tid >= 0 then alloc_cached ?ctx t tid
-  else alloc_shared ?ctx t
+    exhausted.
 
-and alloc_shared ?ctx t =
+    With [staged] the valid+dirty store is only [clwb]'d: no sfence, and
+    its line write is left uncharged.  The caller then owes one
+    [Region.sfence] (and the line charge) before anything can reach the
+    object — e.g. the group that also persists the payload, ahead of the
+    directory slot store.  That is safe because an allocated object is
+    unreachable until linked: a crash that loses the claim leaves flags
+    00, which [rebuild_cache] treats as free, and recovery's sweep
+    reclaims a durable but unlinked claim. *)
+let rec alloc ?ctx ?(staged = false) t =
+  let tid = ctx_tid ctx in
+  if t.tcache_enabled && tid >= 0 then alloc_cached ?ctx ~staged t tid
+  else alloc_shared ?ctx ~staged t
+
+and alloc_shared ?ctx ~staged t =
   let candidate =
     Ctx_util.with_spin ?ctx t.cache_lock (fun () ->
         if Queue.is_empty t.free_cache then None
         else Some (Queue.pop t.free_cache))
   in
   match candidate with
-  | None -> if grow ?ctx t then alloc_shared ?ctx t else None
-  | Some addr -> claim ?ctx t addr ~retry:(fun () -> alloc_shared ?ctx t)
+  | None -> if grow ?ctx t then alloc_shared ?ctx ~staged t else None
+  | Some addr ->
+      claim ?ctx ~staged t addr ~retry:(fun () -> alloc_shared ?ctx ~staged t)
 
-and alloc_cached ?ctx t tid =
+and alloc_cached ?ctx ~staged t tid =
   let q = tcache t tid in
   if Queue.is_empty q then
     Ctx_util.with_spin ?ctx t.cache_lock (fun () ->
@@ -196,17 +207,21 @@ and alloc_cached ?ctx t tid =
           Queue.push (Queue.pop t.free_cache) q
         done);
   if Queue.is_empty q then
-    if grow ?ctx t then alloc_cached ?ctx t tid else None
+    if grow ?ctx t then alloc_cached ?ctx ~staged t tid else None
   else
     (* thread-private pop: no shared-line atomic *)
-    claim ?ctx t (Queue.pop q) ~retry:(fun () -> alloc_cached ?ctx t tid)
+    claim ?ctx ~staged t (Queue.pop q) ~retry:(fun () ->
+        alloc_cached ?ctx ~staged t tid)
 
-(** Clear the dirty bit: the object is initialized and linked. *)
-let commit ?ctx t paddr =
+(** Clear the dirty bit: the object is initialized and linked.  With
+    [staged] the store is only [clwb]'d and uncharged, as for {!alloc}:
+    the caller fences (and charges) once for every commit of its group,
+    after the barrier that linked the objects. *)
+let commit ?ctx ?(staged = false) t paddr =
   let addr = paddr - obj_header in
   Region.write_u8 t.region addr flag_valid;
-  Region.persist t.region addr 1;
-  charge ?ctx ~read:0 ~write:1 ()
+  Region.write_back ~staged t.region addr 1;
+  if not staged then charge ?ctx ~read:0 ~write:1 ()
 
 (** Mark an object unprocessed again (start of a teardown/transition). *)
 let mark_dirty ?ctx t paddr =

@@ -53,9 +53,9 @@ let set_target r e v =
   Region.write_u62 r (f_target e) v;
   Region.persist r (f_target e) 8
 
-let set_dirblock r e v =
+let set_dirblock ?staged r e v =
   Region.write_u62 r (f_dirblock e) v;
-  Region.persist r (f_dirblock e) 8
+  Region.write_back ?staged r (f_dirblock e) 8
 
 let name r e =
   let f = flags r e in
@@ -70,8 +70,10 @@ let name r e =
   end
 
 (** Write name + flags + target; long names spill into a block supplied
-    by [alloc_spill] (one small block-allocator chunk). *)
-let init r e ~name:n ~dir ~symlink ~target:tgt ~alloc_spill =
+    by [alloc_spill] (one small block-allocator chunk).  Everything is
+    persisted, or with [staged] only [clwb]'d for the caller's fence —
+    as are the [?staged] setters below. *)
+let init ?staged r e ~name:n ~dir ~symlink ~target:tgt ~alloc_spill =
   let len = String.length n in
   if len = 0 || len > name_max then invalid_arg "Fentry.init: bad name length";
   let base_flags =
@@ -87,14 +89,14 @@ let init r e ~name:n ~dir ~symlink ~target:tgt ~alloc_spill =
     let spill = alloc_spill (2 + len) in
     Region.write_u16 r spill len;
     Region.write_string r (spill + 2) n;
-    Region.persist r spill (2 + len);
+    Region.write_back ?staged r spill (2 + len);
     Region.write_u8 r (f_flags e) (base_flags lor fl_longname);
     Region.write_u8 r (f_name_len e) 0;
     Region.write_u62 r (f_longname e) spill
   end;
   Region.write_u62 r (f_target e) tgt;
   Region.write_u62 r (f_dirblock e) 0;
-  Region.persist r e payload_size
+  Region.write_back ?staged r e payload_size
 
 (* --- owner/mode word (secure media only) ----------------------------- *)
 
@@ -106,9 +108,9 @@ let pack_owner ~uid ~gid ~perm =
   ((uid land 0xffffff) lsl 36) lor ((gid land 0xffffff) lsl 12)
   lor (perm land 0xfff)
 
-let set_owner r e ~uid ~gid ~perm =
+let set_owner ?staged r e ~uid ~gid ~perm =
   Region.write_u62 r (f_owner e) (pack_owner ~uid ~gid ~perm);
-  Region.persist r (f_owner e) 8
+  Region.write_back ?staged r (f_owner e) 8
 
 (** The packed owner word itself (what the resolve cache carries). *)
 let owner_word r e = Region.read_u62 r (f_owner e)
@@ -120,9 +122,9 @@ let unpack_owner w =
 (** [(uid, gid, mode)] from the owner word. *)
 let owner r e = unpack_owner (owner_word r e)
 
-let copy_owner r ~src ~dst =
+let copy_owner ?staged r ~src ~dst =
   Region.write_u62 r (f_owner dst) (Region.read_u62 r (f_owner src));
-  Region.persist r (f_owner dst) 8
+  Region.write_back ?staged r (f_owner dst) 8
 
 (** Compare without allocating for the common inline case. *)
 let name_equals r e n =

@@ -436,13 +436,42 @@ let media_guard t f =
 
 (* --- allocation helpers ------------------------------------------------- *)
 
-let alloc_inode ?ctx t =
-  match Simurgh_alloc.Slab_alloc.alloc ?ctx t.layout.Layout.inode_slab with
+(* A persist group of a create or a rename shadow (DESIGN.md §9, create
+   barriers).  Volumes with the allocator caches group by Fig. 5a step:
+   the group's slab flag stores and object stores are only clwb'd,
+   [group_lines] adds up their line writes and [fence_group] persists
+   and charges them with one sfence.  The seed format persists each
+   store by itself, so [group_lines] charges at once and [fence_group]
+   does nothing. *)
+type group = { staged : bool; mutable lines : int }
+
+let group t =
+  { staged = t.layout.Layout.features.Layout.alloc_caches; lines = 0 }
+
+(* the line of a slab flag store: charged by the slab unless staged *)
+let flag_line g = if g.staged then 1 else 0
+
+let group_lines ?ctx g n =
+  if g.staged then g.lines <- g.lines + n else Charge.write_lines ?ctx n
+
+let fence_group ?ctx t g =
+  if g.staged then begin
+    Region.sfence t.region;
+    Charge.write_lines ?ctx g.lines;
+    g.lines <- 0
+  end
+
+let alloc_inode ?ctx ?staged t =
+  match
+    Simurgh_alloc.Slab_alloc.alloc ?ctx ?staged t.layout.Layout.inode_slab
+  with
   | Some i -> i
   | None -> Errno.raise_ ENOSPC "out of inode objects"
 
-let alloc_fentry ?ctx t =
-  match Simurgh_alloc.Slab_alloc.alloc ?ctx t.layout.Layout.fentry_slab with
+let alloc_fentry ?ctx ?staged t =
+  match
+    Simurgh_alloc.Slab_alloc.alloc ?ctx ?staged t.layout.Layout.fentry_slab
+  with
   | Some e -> e
   | None -> Errno.raise_ ENOSPC "out of file-entry objects"
 
@@ -906,25 +935,28 @@ let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
       (match dir_lookup ?ctx t d n with
       | Some _ -> Errno.raise_ EEXIST n
       | None -> ());
-      (* Fig. 5a step 1: inode created and persisted (still dirty) *)
+      let g = group t in
+      let staged = g.staged and lines = group_lines ?ctx g in
+      (* Fig. 5a step 1: inode created and persisted (still dirty), at
+         once or by the group's fence *)
       let inode =
         match target_inode with
         | Some i ->
             Inode.set_nlink t.region i (Inode.nlink t.region i + 1);
-            Region.persist t.region i 16;
+            Region.write_back ~staged t.region i 16;
             i
         | None ->
-            let i = alloc_inode ?ctx t in
-            Inode.init t.region i
+            let i = alloc_inode ?ctx ~staged t in
+            Inode.init ~staged t.region i
               ~mode:(Inode.mode_of_kind ~perm kind)
               ~uid:euid ~gid:egid ~now:(now ?ctx t);
-            Charge.write_lines ?ctx 2;
+            lines (flag_line g + 2);
             i
       in
       hook t "create:inode";
       (* step 2: file entry created and linked to the inode *)
-      let fe = alloc_fentry ?ctx t in
-      Fentry.init t.region fe ~name:n
+      let fe = alloc_fentry ?ctx ~staged t in
+      Fentry.init ~staged t.region fe ~name:n
         ~dir:(kind = Inode.Dir)
         ~symlink:(kind = Inode.Symlink)
         ~target:inode
@@ -934,12 +966,12 @@ let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
       if t.secure then begin
         match target_inode with
         | Some i ->
-            Fentry.set_owner t.region fe ~uid:(Inode.uid t.region i)
+            Fentry.set_owner ~staged t.region fe ~uid:(Inode.uid t.region i)
               ~gid:(Inode.gid t.region i)
               ~perm:(Inode.perm t.region i)
-        | None -> Fentry.set_owner t.region fe ~uid:euid ~gid:egid ~perm
+        | None -> Fentry.set_owner ~staged t.region fe ~uid:euid ~gid:egid ~perm
       end;
-      Charge.write_lines ?ctx 2;
+      lines (flag_line g + 2);
       hook t "create:fentry";
       (* directories get their first hash block before becoming visible *)
       if kind = Inode.Dir then begin
@@ -947,17 +979,22 @@ let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
           alloc_dirblock ?ctx ~ring:t.log_ring ?owner:qown t
             ~rows:Dirblock.first_rows
         in
-        Fentry.set_dirblock t.region fe db;
-        Charge.write_lines ?ctx 2
+        Fentry.set_dirblock ~staged t.region fe db;
+        lines 2
       end;
+      fence_group ?ctx t g;
       (* steps 3-5: persist the pointer into the row *)
       insert_entry ?ctx ?owner:(dir_quota_uid t d) t d ~name:n fe;
       hook t "create:slot";
       (* step 6: unset the dirty bits *)
-      (match target_inode with
-      | Some _ -> ()
-      | None -> Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.inode_slab inode);
-      Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab fe;
+      let commit slab obj =
+        Simurgh_alloc.Slab_alloc.commit ?ctx ~staged slab obj;
+        lines (flag_line g)
+      in
+      if Option.is_none target_inode then
+        commit t.layout.Layout.inode_slab inode;
+      commit t.layout.Layout.fentry_slab fe;
+      fence_group ?ctx t g;
       hook t "create:commit";
       rcache_insert t d n fe;
       fe)
@@ -1667,17 +1704,20 @@ let rename_shadow ?ctx t w ~shadow_hook (ds : dirref) ~old_n (dd : dirref)
                else `Must_not_be_dir)
       | None, h -> Charge.read_lines ?ctx (h + 1));
       let inode = Fentry.target t.region ofe in
-      let nfe = alloc_fentry ?ctx t in
-      Fentry.init t.region nfe ~name:new_n
+      let g = group t in
+      let staged = g.staged in
+      let nfe = alloc_fentry ?ctx ~staged t in
+      Fentry.init ~staged t.region nfe ~name:new_n
         ~dir:(Fentry.is_dir t.region ofe)
         ~symlink:(Fentry.is_symlink t.region ofe)
         ~target:inode
         ~alloc_spill:(fun b ->
           alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
       if Fentry.is_dir t.region ofe then
-        Fentry.set_dirblock t.region nfe (Fentry.dirblock t.region ofe);
-      if t.secure then Fentry.copy_owner t.region ~src:ofe ~dst:nfe;
-      Charge.write_lines ?ctx 2;
+        Fentry.set_dirblock ~staged t.region nfe (Fentry.dirblock t.region ofe);
+      if t.secure then Fentry.copy_owner ~staged t.region ~src:ofe ~dst:nfe;
+      group_lines ?ctx g (flag_line g + 2);
+      fence_group ?ctx t g;
       hook t shadow_hook;
       let reserved =
         if Locks.striped t.locks then

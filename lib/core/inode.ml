@@ -73,8 +73,9 @@ let set_size r i v = Region.write_u62 r (f_size i) v
 let set_mtime r i v = Region.write_u62 r (f_mtime i) v
 
 (** Initialize a freshly allocated inode and persist it (Fig. 5a step 1:
-    "the inode is created and persisted"). *)
-let init r i ~mode:m ~uid:u ~gid:g ~now =
+    "the inode is created and persisted"); with [staged] it is only
+    [clwb]'d, for a caller that fences the whole step once. *)
+let init ?staged r i ~mode:m ~uid:u ~gid:g ~now =
   Region.write_u32 r (f_mode i) m;
   Region.write_u32 r (f_uid i) u;
   Region.write_u32 r (f_gid i) g;
@@ -87,7 +88,7 @@ let init r i ~mode:m ~uid:u ~gid:g ~now =
     Region.write_u62 r (f_extent i k + 8) 0
   done;
   Region.write_u62 r (f_overflow i) 0;
-  Region.persist r i payload_size
+  Region.write_back ?staged r i payload_size
 
 let read_extent r i k =
   let addr = Region.read_u62 r (f_extent i k) in

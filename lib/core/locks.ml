@@ -49,8 +49,9 @@ type stripe = {
       (** striped mode only: (dir, 0) = chain-link lock,
           (dir, 1) = rename-log lock (legacy single slot),
           (dir, 2 + s) = lock of rename-log ring slot [s] *)
-  range_locks : (int * int, Vlock.Rw.t) Hashtbl.t;
-      (** range-lock mode: (inode pptr, byte row) -> rwlock *)
+  range_locks : (int, (int, Vlock.Rw.t) Hashtbl.t) Hashtbl.t;
+      (** range-lock mode: inode pptr -> (byte row -> rwlock), in the
+          inode's stripe, so dropping a file's rows is one remove *)
   extent_locks : (int, Vlock.Rw.t) Hashtbl.t;
       (** range-lock mode: inode pptr -> extent-list/size-word lock *)
   file_states : (int, file_state) Hashtbl.t;
@@ -179,8 +180,11 @@ let rows_of_range ~pos ~len =
    bounded while BENCH_data can still attribute waits to hot rows
    ("locks/file_range/r03" etc., satellite: no more single-site blur). *)
 let range_lock t inode ~row =
-  let key = (inode, row) in
-  find_or_create (stripe_of t key).range_locks key (fun () ->
+  let rows =
+    find_or_create (stripe_of t inode).range_locks inode (fun () ->
+        Hashtbl.create 4)
+  in
+  find_or_create rows row (fun () ->
       Vlock.Rw.create
         ~site:(Printf.sprintf "file-range/r%02d" (row land 15))
         ~striped:true ())
@@ -242,16 +246,7 @@ let drop_file_lock t inode =
   Hashtbl.remove s.file_locks inode;
   Hashtbl.remove s.extent_locks inode;
   Hashtbl.remove s.file_states inode;
-  (* range rows hash by (inode, row), so they can sit in any stripe *)
-  Array.iter
-    (fun s ->
-      let doomed =
-        Hashtbl.fold
-          (fun ((i, _) as key) _ acc -> if i = inode then key :: acc else acc)
-          s.range_locks []
-      in
-      List.iter (Hashtbl.remove s.range_locks) doomed)
-    t.stripes
+  Hashtbl.remove s.range_locks inode
 
 (** Reclaim every lock belonging to a deleted directory (its row locks,
     append locks and chain/log locks).  Without this the registries grow
@@ -289,6 +284,6 @@ let sizes t =
 let range_sizes t =
   Array.fold_left
     (fun (r, e) s ->
-      ( r + Hashtbl.length s.range_locks,
+      ( Hashtbl.fold (fun _ rows n -> n + Hashtbl.length rows) s.range_locks r,
         e + Hashtbl.length s.extent_locks + Hashtbl.length s.file_states ))
     (0, 0) t.stripes

@@ -573,6 +573,11 @@ let persist t off len =
   clwb t off len;
   sfence t
 
+(** [persist] a range, or with [staged] only [clwb] it: the caller
+    groups several stores under one later [sfence] of its own. *)
+let write_back ?(staged = false) t off len =
+  if staged then clwb t off len else persist t off len
+
 (* Commit one overlay line to the persistent image (early eviction). *)
 let commit_line t ln buf =
   let base = ln * line_size in

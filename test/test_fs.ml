@@ -346,6 +346,38 @@ let test_striped_rename () =
   Alcotest.(check bool) "untouched tail" true (Fs.exists fs "/s/a99");
   fsck_clean "after striped renames" region
 
+(* Persist barriers per create (DESIGN.md §9): the seed format fences
+   every slab claim, object store and commit on its own (7, plus the
+   owner word on secure media); a volume with the allocator caches
+   groups them by Fig. 5a step, so a create pays 3 on any media. *)
+let test_create_barriers () =
+  let check name ~scaled ~secure ~create ~link ~mkdir =
+    let region = fresh_region () in
+    let fs =
+      Fs.mkfs ~euid:0 ~secure ~striped_locks:scaled ~rcache:scaled
+        ~alloc_caches:scaled region
+    in
+    Fs.mkdir fs "/d";
+    Fs.create_file fs "/d/x";
+    let fences what want f =
+      let before = (Simurgh_nvmm.Region.stats region).fences in
+      f ();
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s fences" name what)
+        want
+        ((Simurgh_nvmm.Region.stats region).fences - before)
+    in
+    fences "create_file" create (fun () -> Fs.create_file fs "/d/f");
+    fences "hardlink" link (fun () -> Fs.hardlink fs ~existing:"/d/f" "/d/l");
+    fences "mkdir" mkdir (fun () -> Fs.mkdir fs "/d/e");
+    fsck_clean (name ^ ": after the measured creates") region
+  in
+  check "seed" ~scaled:false ~secure:false ~create:7 ~link:5 ~mkdir:12;
+  check "seed secure" ~scaled:false ~secure:true ~create:8 ~link:6 ~mkdir:13;
+  (* a mkdir's first hash block keeps its own 4 barriers *)
+  check "scaled" ~scaled:true ~secure:false ~create:3 ~link:3 ~mkdir:7;
+  check "scaled secure" ~scaled:true ~secure:true ~create:3 ~link:3 ~mkdir:7
+
 (* The scaled features change no on-media object, only the superblock's
    feature word: a plain remount of a scaled image reads it back, runs
    the same protocols and sees the same bytes. *)
@@ -990,6 +1022,7 @@ let () =
           Alcotest.test_case "striped chain growth" `Quick
             test_striped_chain_growth;
           Alcotest.test_case "striped rename" `Quick test_striped_rename;
+          Alcotest.test_case "create barriers" `Quick test_create_barriers;
           Alcotest.test_case "striped layout compatible" `Quick
             test_striped_layout_compatible;
           Alcotest.test_case "rcache FS invalidation" `Quick
