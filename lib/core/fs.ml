@@ -261,6 +261,9 @@ let of_layout ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000)
             ("rcache/inserts", float_of_int s.Rcache.inserts);
             ("rcache/invalidations", float_of_int s.Rcache.invalidations);
             ("rcache/evictions", float_of_int s.Rcache.evictions);
+            ("rcache/prefix_hits", float_of_int s.Rcache.prefix_hits);
+            ("rcache/prefix_misses", float_of_int s.Rcache.prefix_misses);
+            ("rcache/prefix_drops", float_of_int s.Rcache.prefix_drops);
           ]);
   fs
 
@@ -641,12 +644,22 @@ let dir_lookup_fe ?ctx t (d : dirref) comp =
 let max_symlink_depth = 40
 
 (* Resolve the parent directory of [path]; returns the dirref and the
-   final component name.  Follows symlinks in intermediate components. *)
+   final component name.  Follows symlinks in intermediate components.
+
+   With the resolve cache on, a path with parents and no [..] first
+   probes the prefix entry of its canonical parent path under the
+   caller's credentials: a hit is the parent directory and its owner
+   word in one DRAM probe, with no per-hop traverse check (the entry
+   certifies that these credentials passed every one).  A miss walks
+   the components and, when the walk followed no symlink, records the
+   prefix. *)
 let rec resolve_parent ?ctx ?(depth = 0) t path =
   if depth > max_symlink_depth then Errno.raise_ ELOOP path;
   let parents, final = Path.split_parent path in
+  (* [Left d]: the components led to directory [d]; [Right r]: a symlink
+     redirected the walk and its target resolved to [r] *)
   let rec walk (stack : dirref list) (d : dirref) = function
-    | [] -> (d, final)
+    | [] -> Either.Left d
     | ".." :: rest -> (
         match stack with
         | parent :: up -> walk up parent rest
@@ -665,11 +678,38 @@ let rec resolve_parent ?ctx ?(depth = 0) t path =
               let joined =
                 target ^ "/" ^ String.concat "/" (rest @ [ final ])
               in
-              resolve_parent ?ctx ~depth:(depth + 1) t joined
+              Either.Right (resolve_parent ?ctx ~depth:(depth + 1) t joined)
             end
             else Errno.raise_ ENOTDIR path)
   in
-  walk [] (root_dirref t) parents
+  (* [record d] runs only for a walk that reached [d] through no symlink *)
+  let walk_from_root ~record =
+    match walk [] (root_dirref t) parents with
+    | Either.Left d ->
+        record d;
+        (d, final)
+    | Either.Right r -> r
+  in
+  match t.rcache with
+  | Some rc when parents <> [] && not (List.mem ".." parents) -> (
+      let euid, egid = creds ?ctx t in
+      let prefix = String.concat "/" parents in
+      match Rcache.lookup_prefix rc ~euid ~egid prefix with
+      | Some (fe, word) ->
+          Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.rcache_hit_cycles;
+          let dhead = Fentry.dirblock t.region fe in
+          ({ dfentry = fe; dhead; word = Some word }, final)
+      | None ->
+          walk_from_root ~record:(fun d ->
+              let word =
+                match d.word with
+                | Some w -> w
+                | None ->
+                    if t.secure then Fentry.owner_word t.region d.dfentry
+                    else 0
+              in
+              Rcache.insert_prefix rc ~euid ~egid prefix ~word d.dfentry))
+  | _ -> walk_from_root ~record:ignore
 
 and read_symlink_target t fe =
   let inode = Fentry.target t.region fe in
@@ -726,11 +766,16 @@ let rcache_invalidate t (d : dirref) name =
   | None -> ()
   | Some rc -> Rcache.invalidate rc ~dir:d.dhead name
 
-(* A directory died: kill every cached child at once (generation bump). *)
+(* A directory died: kill every cached child at once (generation bump),
+   and every prefix entry with them. *)
 let rcache_invalidate_dir t dhead =
   match t.rcache with
   | None -> ()
   | Some rc -> Rcache.invalidate_dir rc dhead
+
+(* A directory moved or changed mode: every prefix entry dies. *)
+let rcache_drop_prefixes t =
+  match t.rcache with None -> () | Some rc -> Rcache.drop_prefixes rc
 
 (* The rename-log window of directory [dir]: run [f ~slot ~epoch] with
    the chosen log slot held.
@@ -1606,13 +1651,8 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
             Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.inode_slab inode;
             Locks.drop_file_lock t.locks inode;
             (* the directory is gone: reclaim its row/append locks so the
-               volatile registries do not grow without bound, and bump
-               its resolve-cache generation (the head address may be
-               recycled by a future directory) *)
-            if is_dir then begin
-              Locks.drop_dir_locks t.locks ~dir:dirhead;
-              rcache_invalidate_dir t dirhead
-            end
+               volatile registries do not grow without bound *)
+            if is_dir then Locks.drop_dir_locks t.locks ~dir:dirhead
           end;
           hook t "unlink:inode";
           (* step 4: file entry zeroed *)
@@ -1622,6 +1662,10 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
           Dirblock.set_slot t.region blk entry_row s 0;
           Charge.write_lines ?ctx 1;
           rcache_invalidate t d n;
+          (* a removed directory bumps its resolve-cache generation (the
+             head address may be recycled by a future directory) and
+             drops the prefix entries, once its name is unreachable *)
+          if is_dir then rcache_invalidate_dir t dirhead;
           hook t "unlink:slot";
           (* step 6 (optional): free an empty non-head hash block *)
           if blk <> d.dhead && Dirblock.block_empty t.region blk then begin
@@ -1851,14 +1895,19 @@ let rename ?ctx t old_path new_path =
   else begin
     (* uncharged peek: only directory sources need the cycle walk (the
        locked paths below re-find the source and charge as before) *)
-    (match Dirblock.find t.region ~head:ds.dhead ~name:old_n with
-    | Some (_, _, _, ofe), _ when Fentry.is_dir t.region ofe ->
-        check_rename_cycle ?ctx t
-          ~src_head:(Fentry.dirblock t.region ofe)
-          dd new_path
-    | _ -> ());
+    let moves_dir =
+      match Dirblock.find t.region ~head:ds.dhead ~name:old_n with
+      | Some (_, _, _, ofe), _ when Fentry.is_dir t.region ofe ->
+          check_rename_cycle ?ctx t
+            ~src_head:(Fentry.dirblock t.region ofe)
+            dd new_path;
+          true
+      | _ -> false
+    in
     if ds.dhead = dd.dhead then rename_same_dir ?ctx t w ds ~old_n ~new_n
-    else rename_cross_dir ?ctx t w ds ~old_n dd ~new_n
+    else rename_cross_dir ?ctx t w ds ~old_n dd ~new_n;
+    (* the moved subtree's prefixes resolve elsewhere now *)
+    if moves_dir then rcache_drop_prefixes t
   end
 
 (* --- open / close / read / write ------------------------------------------ *)
@@ -2104,10 +2153,11 @@ let chmod ?ctx t path perm =
   if t.secure then begin
     let uid, gid, _ = Fentry.owner t.region fe in
     Fentry.set_owner t.region fe ~uid ~gid ~perm:(perm land Inode.perm_mask);
-    match t.rcache with
-    | Some rc -> Rcache.invalidate rc ~dir:d.dhead (Fentry.name t.region fe)
-    | None -> ()
+    rcache_invalidate t d (Fentry.name t.region fe)
   end;
+  (* who may traverse a directory changed: on any media a prefix entry
+     through it would skip that hop's check *)
+  if Fentry.is_dir t.region fe then rcache_drop_prefixes t;
   Charge.write_lines ?ctx 1
 
 let utimes ?ctx t path mtime =

@@ -26,6 +26,19 @@
     because generations are never reset, also protects against a freed
     first-block address being reused by a new directory.
 
+    Prefix entries let a resolver reach a path's parent directory in one
+    probe (the direct lookup of Tsai et al., SOSP 2015).  Such an entry
+    maps a canonical parent path ("a/b/c", no [..], no symlink) to the
+    directory's file entry and owner word under a pseudo-directory id
+    that stands for one (euid, egid) pair: it certifies that those
+    credentials passed the traverse check at every hop of the prefix and
+    that the prefix resolved to that directory.  Every pseudo-directory
+    shares one prefix generation, bumped by {!drop_prefixes} on any event
+    that can change what a directory prefix resolves to or who may
+    traverse it (directory removal, directory rename, directory chmod);
+    file-level mutations leave it alone.  Prefix entries share the ring,
+    the index and the CLOCK with the name entries.
+
     Capacity is bounded by CLOCK (second-chance) eviction over a ring of
     at most [capacity] slots: a hit sets the entry's reference bit, and
     an insert into a full ring sweeps the hand past referenced slots
@@ -44,6 +57,9 @@ type t = {
   index : (int * string, int) Hashtbl.t;
       (** (parent first hash block, component) -> ring slot *)
   gens : (int, int) Hashtbl.t;  (** dir head -> generation (sticky) *)
+  creds_dirs : (int * int, int) Hashtbl.t;
+      (** (euid, egid) -> its negative prefix pseudo-directory *)
+  mutable prefix_gen : int;  (** the generation of every pseudo-directory *)
   capacity : int;
   (* the ring, one array per field so an entry costs no block of its
      own; grown on demand up to [capacity] *)
@@ -61,6 +77,9 @@ type t = {
   mutable inserts : int;
   mutable invalidations : int;
   mutable evictions : int;
+  mutable prefix_hits : int;
+  mutable prefix_misses : int;
+  mutable prefix_drops : int;
 }
 
 let vacant = (-1, "")
@@ -72,6 +91,8 @@ let create ?(capacity = 1 lsl 16) () =
   {
     index = Hashtbl.create 4096;
     gens = Hashtbl.create 256;
+    creds_dirs = Hashtbl.create 8;
+    prefix_gen = 0;
     capacity;
     keys = Array.make n vacant;
     fes = Array.make n 0;
@@ -86,10 +107,14 @@ let create ?(capacity = 1 lsl 16) () =
     inserts = 0;
     invalidations = 0;
     evictions = 0;
+    prefix_hits = 0;
+    prefix_misses = 0;
+    prefix_drops = 0;
   }
 
 let generation t dir =
-  match Hashtbl.find_opt t.gens dir with Some g -> g | None -> 0
+  if dir < 0 then t.prefix_gen
+  else match Hashtbl.find_opt t.gens dir with Some g -> g | None -> 0
 
 (** Live entries (stale ones not yet reaped included); never above the
     capacity. *)
@@ -187,12 +212,46 @@ let invalidate t ~dir name =
       t.invalidations <- t.invalidations + 1
   | None -> ()
 
-(** Directory-level invalidation: every cached child of [dir] dies.
-    Generations are bumped, never reset, so a later directory reusing
-    the same first-block address can never validate old entries. *)
+(* --- prefix entries --- *)
+
+let creds_dir t ~euid ~egid =
+  match Hashtbl.find_opt t.creds_dirs (euid, egid) with
+  | Some d -> d
+  | None ->
+      let d = -1 - Hashtbl.length t.creds_dirs in
+      Hashtbl.replace t.creds_dirs (euid, egid) d;
+      d
+
+(** [Some (fe, word)]: the directory the canonical parent path [prefix]
+    resolves to for these credentials, and its owner word. *)
+let lookup_prefix t ~euid ~egid prefix =
+  let r = lookup t ~dir:(creds_dir t ~euid ~egid) prefix in
+  (match r with
+  | Some _ -> t.prefix_hits <- t.prefix_hits + 1
+  | None -> t.prefix_misses <- t.prefix_misses + 1);
+  r
+
+(** Record that [prefix] resolved to directory [fe] (owner word [word])
+    for these credentials.  The walk and this insert hold no preemption
+    point, so a walk that saw the namespace before a directory event
+    inserts before that event's {!drop_prefixes}. *)
+let insert_prefix t ~euid ~egid prefix ~word fe =
+  insert t ~dir:(creds_dir t ~euid ~egid) prefix ~word fe
+
+(** Every prefix entry dies: a directory was removed, renamed or
+    chmod-ed.  Called once the event is visible on media. *)
+let drop_prefixes t =
+  t.prefix_gen <- t.prefix_gen + 1;
+  t.prefix_drops <- t.prefix_drops + 1
+
+(** Directory-level invalidation: every cached child of [dir] dies, and
+    so does every prefix entry (one may end in [dir]).  Generations are
+    bumped, never reset, so a later directory reusing the same
+    first-block address can never validate old entries. *)
 let invalidate_dir t dir =
   Hashtbl.replace t.gens dir (generation t dir + 1);
-  t.invalidations <- t.invalidations + 1
+  t.invalidations <- t.invalidations + 1;
+  drop_prefixes t
 
 let clear t =
   (* volatile state rebuild (recovery): entries vanish, generations stay
@@ -209,6 +268,9 @@ type stats = {
   inserts : int;
   invalidations : int;
   evictions : int;
+  prefix_hits : int;
+  prefix_misses : int;
+  prefix_drops : int;
 }
 
 let stats (t : t) : stats =
@@ -218,4 +280,7 @@ let stats (t : t) : stats =
     inserts = t.inserts;
     invalidations = t.invalidations;
     evictions = t.evictions;
+    prefix_hits = t.prefix_hits;
+    prefix_misses = t.prefix_misses;
+    prefix_drops = t.prefix_drops;
   }

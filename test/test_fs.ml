@@ -472,6 +472,50 @@ let test_rcache_fs_invalidation () =
   Fs.mkdir fs "/d";
   expect_err Errno.ENOENT (fun () -> Fs.stat fs "/d/b")
 
+(* Prefix entries survive file-level churn under the prefix and die on
+   each directory-level event: a create, unlink or file rename drops no
+   prefix, so the next resolve still reaches the parent in one probe. *)
+let test_rcache_prefix_drops () =
+  let module Rc = Simurgh_core.Rcache in
+  let region = fresh_region () in
+  let fs = Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true region in
+  List.iter (Fs.mkdir fs) [ "/a"; "/a/b"; "/a/b/c"; "/x" ];
+  Fs.create_file fs "/a/b/c/f";
+  ignore (Fs.stat fs "/a/b/c/f");
+  let rc = rcache_of fs in
+  let stat0 = Rc.stats rc in
+  let hits0 = stat0.Rc.prefix_hits in
+  Fs.create_file fs "/a/b/c/g";
+  Fs.rename fs "/a/b/c/g" "/a/b/c/h";
+  Fs.unlink fs "/a/b/c/h";
+  Fs.chmod fs "/a/b/c/f" 0o600;
+  Fs.hardlink fs ~existing:"/a/b/c/f" "/a/b/c/l";
+  Fs.rename fs "/a/b/c/l" "/x/l";
+  ignore (Fs.stat fs "/a/b/c/f");
+  let s = Rc.stats rc in
+  Alcotest.(check int) "file-level mutations drop no prefix"
+    stat0.Rc.prefix_drops s.Rc.prefix_drops;
+  (* each resolve under /a/b/c reached it in one probe: the create, both
+     names of the first rename, the unlink, the chmod, both names of the
+     hardlink, the source of the second rename and the final stat *)
+  Alcotest.(check int) "and every resolve under it kept hitting" (hits0 + 9)
+    s.Rc.prefix_hits;
+  let drops what f =
+    let before = (Rc.stats rc).Rc.prefix_drops in
+    f ();
+    Alcotest.(check int) (what ^ " drops the prefixes") (before + 1)
+      (Rc.stats rc).Rc.prefix_drops;
+    let misses = (Rc.stats rc).Rc.prefix_misses in
+    ignore (Fs.stat fs "/x/l");
+    Alcotest.(check int) (what ^ ": the next resolve misses") (misses + 1)
+      (Rc.stats rc).Rc.prefix_misses
+  in
+  drops "directory rename" (fun () -> Fs.rename fs "/a/b" "/a/d");
+  drops "directory chmod" (fun () -> Fs.chmod fs "/a/d" 0o700);
+  Fs.mkdir fs "/a/e";
+  drops "rmdir" (fun () -> Fs.rmdir fs "/a/e");
+  ignore (Fs.stat fs "/a/d/c/f")
+
 let test_rcache_unit () =
   let module Rc = Simurgh_core.Rcache in
   let rc = Rc.create () in
@@ -1027,6 +1071,8 @@ let () =
             test_striped_layout_compatible;
           Alcotest.test_case "rcache FS invalidation" `Quick
             test_rcache_fs_invalidation;
+          Alcotest.test_case "rcache prefix drops" `Quick
+            test_rcache_prefix_drops;
           Alcotest.test_case "rcache unit" `Quick test_rcache_unit;
           Alcotest.test_case "rcache CLOCK eviction" `Quick test_rcache_clock;
           Alcotest.test_case "feature word" `Quick test_feature_word;

@@ -215,6 +215,133 @@ let prop_model_with_remounts =
       let fs = Fs.mkfs ~euid:0 region in
       run_ops fs ops ~remount_every:20)
 
+(* --- differential oracle: resolve cache on vs off ------------------------- *)
+
+(* The same operations, under three credentials (root and two tenants),
+   on a volume with the resolve cache and one without: every result and
+   every errno must match.  Paths run through [..] and symlinks over a
+   small name space, so directory renames, rmdirs and chmods land under
+   prefixes the cache holds. *)
+type dop =
+  | Dmkdir of int * string * int
+  | Drmdir of int * string
+  | Dcreate of int * string
+  | Dunlink of int * string
+  | Drename of int * string * string
+  | Dsymlink of int * string * string
+  | Dchmod of int * string * int
+  | Dstat of int * string
+  | Dopen of int * string
+
+let pp_dop = function
+  | Dmkdir (c, p, m) -> Printf.sprintf "%d: mkdir %s %o" c p m
+  | Drmdir (c, p) -> Printf.sprintf "%d: rmdir %s" c p
+  | Dcreate (c, p) -> Printf.sprintf "%d: create %s" c p
+  | Dunlink (c, p) -> Printf.sprintf "%d: unlink %s" c p
+  | Drename (c, a, b) -> Printf.sprintf "%d: rename %s %s" c a b
+  | Dsymlink (c, t, p) -> Printf.sprintf "%d: symlink %s -> %s" c p t
+  | Dchmod (c, p, m) -> Printf.sprintf "%d: chmod %s %o" c p m
+  | Dstat (c, p) -> Printf.sprintf "%d: stat %s" c p
+  | Dopen (c, p) -> Printf.sprintf "%d: open %s" c p
+
+let dop_gen =
+  QCheck.Gen.(
+    let cred = int_range 0 2 in
+    let weighted l = frequency (List.map (fun (w, x) -> (w, return x)) l) in
+    (* few names and shallow paths, so operations meet existing state *)
+    let comp = weighted [ (4, "a"); (4, "b"); (1, "c"); (2, "l") ] in
+    let depth = weighted [ (3, 1); (4, 2); (3, 3); (1, 4) ] in
+    let path comps =
+      map (fun cs -> "/" ^ String.concat "/" cs) (list_size depth comps)
+    in
+    (* plain paths name objects; lookups also climb with [..] *)
+    let plain = path comp in
+    let walk = path (frequency [ (6, comp); (1, return "..") ]) in
+    let dperm = oneofl [ 0o777; 0o755; 0o711; 0o700 ] in
+    let perm = oneofl [ 0o777; 0o755; 0o711; 0o700; 0o644; 0o070; 0o007; 0 ] in
+    let target = oneofl [ "/a"; "/a/b"; "/b"; "/c/a"; "/a/l"; "missing" ] in
+    frequency
+      [
+        (3, map3 (fun c p m -> Dmkdir (c, p, m)) cred plain dperm);
+        (2, map2 (fun c p -> Drmdir (c, p)) cred plain);
+        (2, map2 (fun c p -> Dcreate (c, p)) cred plain);
+        (1, map2 (fun c p -> Dunlink (c, p)) cred plain);
+        (3, map3 (fun c a b -> Drename (c, a, b)) cred plain plain);
+        (1, map3 (fun c t p -> Dsymlink (c, t, p)) cred target plain);
+        (3, map3 (fun c p m -> Dchmod (c, p, m)) cred plain perm);
+        (6, map2 (fun c p -> Dstat (c, p)) cred walk);
+        (3, map2 (fun c p -> Dopen (c, p)) cred walk);
+      ])
+
+let dop_apply (mounts : Fs.t array) op =
+  let result f =
+    match f () with
+    | r -> r
+    | exception Errno.Err (e, _) -> Errno.to_string e
+  in
+  let ok f = result (fun () -> f (); "ok") in
+  match op with
+  | Dmkdir (c, p, perm) -> ok (fun () -> Fs.mkdir mounts.(c) ~perm p)
+  | Drmdir (c, p) -> ok (fun () -> Fs.rmdir mounts.(c) p)
+  | Dcreate (c, p) -> ok (fun () -> Fs.create_file mounts.(c) ~perm:0o644 p)
+  | Dunlink (c, p) -> ok (fun () -> Fs.unlink mounts.(c) p)
+  | Drename (c, a, b) -> ok (fun () -> Fs.rename mounts.(c) a b)
+  | Dsymlink (c, target, p) -> ok (fun () -> Fs.symlink mounts.(c) ~target p)
+  | Dchmod (c, p, perm) -> ok (fun () -> Fs.chmod mounts.(c) p perm)
+  | Dstat (c, p) ->
+      result (fun () ->
+          let st = Fs.stat mounts.(c) p in
+          Printf.sprintf "%s %o uid=%d size=%d"
+            (match st.Types.kind with
+            | Types.File -> "file"
+            | Types.Dir -> "dir"
+            | Types.Symlink -> "symlink")
+            st.Types.perm st.Types.uid st.Types.size)
+  | Dopen (c, p) ->
+      ok (fun () -> Fs.close mounts.(c) (Fs.openf mounts.(c) Types.rdonly p))
+
+let dvolume ~secure ~rcache =
+  let region = Simurgh_nvmm.Region.create (8 * 1024 * 1024) in
+  let root = Fs.mkfs ~euid:0 ~egid:0 ~secure ~rcache region in
+  Fs.chmod root "/" 0o777;
+  let tenant uid = Fs.mount ~euid:uid ~egid:uid region in
+  let m = [| root; tenant 1000; tenant 1001 |] in
+  (* a seed tree both tenants can reach into *)
+  Fs.mkdir root ~perm:0o777 "/a";
+  Fs.mkdir m.(1) ~perm:0o755 "/a/b";
+  Fs.mkdir m.(2) ~perm:0o711 "/b";
+  Fs.mkdir m.(2) ~perm:0o755 "/b/a";
+  Fs.create_file m.(1) "/a/b/a";
+  Fs.symlink root ~target:"/b" "/a/l";
+  m
+
+let prop_rcache_oracle ~secure =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "resolve cache on = off (%s media)"
+         (if secure then "secure" else "legacy"))
+    ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_dop ops))
+       QCheck.Gen.(list_size (int_range 20 80) dop_gen))
+    (fun ops ->
+      let cached = dvolume ~secure ~rcache:true
+      and plain = dvolume ~secure ~rcache:false in
+      List.iter
+        (fun op ->
+          let want = dop_apply plain op and got = dop_apply cached op in
+          if got <> want then
+            QCheck.Test.fail_reportf "divergence on %s: cache on %s, off %s"
+              (pp_dop op) got want)
+        ops;
+      true)
+
+(* a fixed seed: the oracle explores the same sequences on every run *)
+let oracle_test ~secure =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 18; Bool.to_int secure |])
+    (prop_rcache_oracle ~secure)
+
 let () =
   Alcotest.run "fs-model"
     [
@@ -223,4 +350,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_model;
           QCheck_alcotest.to_alcotest prop_model_with_remounts;
         ] );
+      ( "rcache-oracle",
+        [ oracle_test ~secure:true; oracle_test ~secure:false ] );
     ]

@@ -205,11 +205,18 @@ let test_collect_cache_counters () =
       "rcache/inserts";
       "rcache/invalidations";
       "rcache/evictions";
+      "rcache/prefix_hits";
+      "rcache/prefix_misses";
+      "rcache/prefix_drops";
     ];
   Alcotest.(check bool) "dcache hits nonzero" true
     (Metrics.get run.Run.counters "dcache/hits" > 0.0);
   Alcotest.(check bool) "rcache hits nonzero" true
-    (Metrics.get run.Run.counters "rcache/hits" > 0.0)
+    (Metrics.get run.Run.counters "rcache/hits" > 0.0);
+  (* the create of /d/f recorded the prefix /d: each stat reaches it in
+     one probe *)
+  Alcotest.(check (float 0.0)) "rcache prefix hits" 5.0
+    (Metrics.get run.Run.counters "rcache/prefix_hits")
 
 (* Named counter sources: a ~name'd registration claims its name for
    the collector -- a second registration under the same name is the

@@ -254,18 +254,29 @@ let test_readdir_needs_read_permission () =
 
 (* --- the resolve cache carries the owner word --------------------------- *)
 
-(* A secure volume with the resolve cache on, a root mount and two tenant
-   mounts sharing it (one region, one shared-DRAM state). *)
-let mk_secure_rcache () =
+(* A volume with the resolve cache on (secure media unless [secure] is
+   false), a root mount and two tenant mounts sharing it (one region, one
+   shared-DRAM state). *)
+let mk_rcache ?(secure = true) () =
   let region = Region.create (32 * 1024 * 1024) in
-  let root = Fs.mkfs ~euid:0 ~egid:0 ~secure:true ~rcache:true region in
+  let root = Fs.mkfs ~euid:0 ~egid:0 ~secure ~rcache:true region in
   let tenant uid = Fs.mount ~euid:uid ~egid:uid region in
   (region, root, tenant 1000, tenant 1001)
 
-let rcache_hits fs =
+let mk_secure_rcache () = mk_rcache ()
+
+let rcache_stats fs =
   match Fs.rcache_of fs with
-  | Some rc -> (Simurgh_core.Rcache.stats rc).Simurgh_core.Rcache.hits
+  | Some rc -> Simurgh_core.Rcache.stats rc
   | None -> Alcotest.fail "rcache expected"
+
+let rcache_hits fs = (rcache_stats fs).Simurgh_core.Rcache.hits
+let prefix_hits fs = (rcache_stats fs).Simurgh_core.Rcache.prefix_hits
+
+let expect_enoent f =
+  match f () with
+  | _ -> Alcotest.fail "ENOENT expected"
+  | exception Errno.Err (ENOENT, _) -> ()
 
 let open_close fs path =
   let fd = Fs.openf fs Types.rdonly path in
@@ -291,8 +302,8 @@ let test_chmod_revokes_cached_hops () =
   warm_tree root t1 t2;
   let before = rcache_hits t2 in
   ignore (Fs.stat t2 "/t/a/b/f");
-  Alcotest.(check int) "warm stat hits every component" (before + 4)
-    (rcache_hits t2);
+  Alcotest.(check int) "warm stat: one prefix probe and the leaf"
+    (before + 2) (rcache_hits t2);
   (* a directory: traversal is revoked for others *)
   Fs.chmod root "/t/a" 0o700;
   expect_eacces (fun () -> Fs.stat t2 "/t/a/b/f");
@@ -341,9 +352,10 @@ let test_cached_word_follows_renamed_dir () =
   Fs.chmod root "/u/z" 0o755;
   open_close t2 "/u/z/b/f"
 
-(* The resolve layer's cost, cycle for cycle: a hop served by the cache
-   costs its DRAM probe only, a hop through a directory found by a row
-   scan also pays [perm_check_cycles] for reading the owner word. *)
+(* The resolve layer's cost, cycle for cycle: a warm parent costs one
+   prefix probe, a hop served by the cache costs its DRAM probe only, a
+   hop through a directory found by a row scan also pays
+   [perm_check_cycles] for reading the owner word. *)
 let test_resolve_cost_exact () =
   let _, root, tenant, _ = mk_secure_rcache () in
   List.iter (fun p -> Fs.mkdir root ~perm:0o755 p)
@@ -368,8 +380,9 @@ let test_resolve_cost_exact () =
   (* entry + the two inode lines: the root resolves with no hop *)
   let base = cost tenant "/" in
   ignore (Fs.stat tenant path);
+  (* the prefix probe reaches /a/b/c/d, the leaf probe finds f *)
   Alcotest.(check (float 0.0)) "warm depth-5 stat"
-    (base +. (5.0 *. hit) +. perm)
+    (base +. (2.0 *. hit))
     (cost tenant path);
   (* the tenant pays over root (who skips every check) exactly one
      [perm_check_cycles] per hop whose directory came from a miss *)
@@ -379,14 +392,138 @@ let test_resolve_cost_exact () =
     prepare ();
     t -. cost root path
   in
-  Alcotest.(check (float 0.0)) "warm: the root hop only" perm
-    (overhead ignore);
+  Alcotest.(check (float 0.0)) "warm: no hop check" 0.0 (overhead ignore);
   Alcotest.(check (float 0.0)) "cold: every hop" (5.0 *. perm)
     (overhead (fun () -> Simurgh_core.Rcache.clear rc));
   let a, _ = Fs.resolve root "/a/b" in
   Alcotest.(check (float 0.0)) "one directory missed: root + that hop"
     (2.0 *. perm)
-    (overhead (fun () -> Simurgh_core.Rcache.invalidate rc ~dir:a.Fs.dhead "b"))
+    (overhead (fun () ->
+         Simurgh_core.Rcache.invalidate rc ~dir:a.Fs.dhead "b";
+         Simurgh_core.Rcache.drop_prefixes rc))
+
+(* --- the resolve cache's prefix entries ---------------------------------- *)
+
+(* chmod of an intermediate directory revokes traversal for the other
+   tenant on its very next stat/openf, although both tenants hold a warm
+   prefix entry through it; on legacy media the hop check reads the
+   inode, which a prefix hit skips just the same. *)
+let test_prefix_chmod_revokes ~secure () =
+  let _, root, t1, t2 = mk_rcache ~secure () in
+  warm_tree root t1 t2;
+  let hits = prefix_hits t2 in
+  ignore (Fs.stat t2 "/t/a/b/f");
+  Alcotest.(check int) "the warm parent is one prefix hit" (hits + 1)
+    (prefix_hits t2);
+  Fs.chmod t1 "/t/a" 0o700;
+  expect_eacces (fun () -> Fs.stat t2 "/t/a/b/f");
+  expect_eacces (fun () -> open_close t2 "/t/a/b/f");
+  ignore (Fs.stat t1 "/t/a/b/f");
+  open_close t1 "/t/a/b/f";
+  (* a second warm round is still refused *)
+  expect_eacces (fun () -> Fs.stat t2 "/t/a/b/f");
+  Fs.chmod t1 "/t/a" 0o755;
+  ignore (Fs.stat t2 "/t/a/b/f");
+  open_close t2 "/t/a/b/f"
+
+(* A renamed intermediate directory: the old path is gone, the new one
+   resolves -- same-directory and cross-directory alike. *)
+let test_prefix_follows_renamed_dir () =
+  let _, root, t1, t2 = mk_secure_rcache () in
+  warm_tree root t1 t2;
+  Fs.rename t1 "/t/a" "/t/z";
+  expect_enoent (fun () -> Fs.stat t2 "/t/a/b/f");
+  expect_enoent (fun () -> open_close t2 "/t/a/b/f");
+  ignore (Fs.stat t2 "/t/z/b/f");
+  open_close t2 "/t/z/b/f";
+  Fs.mkdir root ~perm:0o777 "/u";
+  Fs.rename t1 "/t/z/b" "/u/b";
+  expect_enoent (fun () -> Fs.stat t2 "/t/z/b/f");
+  ignore (Fs.stat t2 "/u/b/f");
+  (* moving it back revives the first spelling *)
+  Fs.rename t1 "/u/b" "/t/z/b";
+  expect_enoent (fun () -> Fs.stat t2 "/u/b/f");
+  ignore (Fs.stat t2 "/t/z/b/f")
+
+(* rmdir and mkdir of the same name: the prefix resolves the new
+   directory, with the new directory's rights. *)
+let test_prefix_rmdir_mkdir () =
+  let _, root, t1, t2 = mk_secure_rcache () in
+  warm_tree root t1 t2;
+  Fs.unlink t1 "/t/a/b/f";
+  Fs.rmdir t1 "/t/a/b";
+  expect_enoent (fun () -> Fs.stat t2 "/t/a/b/f");
+  Fs.mkdir t1 ~perm:0o755 "/t/a/b";
+  Fs.create_file t1 ~perm:0o644 "/t/a/b/g";
+  expect_enoent (fun () -> Fs.stat t2 "/t/a/b/f");
+  ignore (Fs.stat t2 "/t/a/b/g");
+  ignore (Fs.stat t2 "/t/a/b/g");
+  (* once more, and the new directory is private to its owner *)
+  Fs.unlink t1 "/t/a/b/g";
+  Fs.rmdir t1 "/t/a/b";
+  Fs.mkdir t1 ~perm:0o700 "/t/a/b";
+  Fs.create_file t1 ~perm:0o644 "/t/a/b/g";
+  expect_eacces (fun () -> Fs.stat t2 "/t/a/b/g");
+  ignore (Fs.stat t1 "/t/a/b/g")
+
+(* A prefix through a symlink is never cached: retargeting the link
+   makes the very next resolve follow the new target. *)
+let test_prefix_symlink_retarget () =
+  let _, root, t1, t2 = mk_secure_rcache () in
+  warm_tree root t1 t2;
+  Fs.mkdir t1 ~perm:0o755 "/t/x";
+  Fs.mkdir t1 ~perm:0o755 "/t/x/b";
+  Fs.create_file t1 ~perm:0o644 "/t/x/b/f";
+  let fd = Fs.openf t1 Types.wronly "/t/x/b/f" in
+  ignore (Fs.append t1 fd (Bytes.of_string "xx"));
+  Fs.close t1 fd;
+  Fs.symlink t1 ~target:"/t/a" "/t/l";
+  let size p = (Fs.stat t2 p).Types.size in
+  Alcotest.(check int) "through /t/a" 0 (size "/t/l/b/f");
+  Alcotest.(check int) "through /t/a, warm" 0 (size "/t/l/b/f");
+  Fs.unlink t1 "/t/l";
+  Fs.symlink t1 ~target:"/t/x" "/t/l";
+  Alcotest.(check int) "through /t/x" 2 (size "/t/l/b/f");
+  Alcotest.(check int) "through /t/x, warm" 2 (size "/t/l/b/f");
+  open_close t2 "/t/l/b/f";
+  (* a link into a directory the tenant may not traverse *)
+  Fs.chmod t1 "/t/x/b" 0o700;
+  expect_eacces (fun () -> Fs.stat t2 "/t/l/b/f");
+  ignore (Fs.stat t1 "/t/l/b/f")
+
+(* Two tenants with opposite rights on one prefix each get their own
+   answer, warm or cold, in either order -- whether the credentials come
+   from the mounts or from the calling threads of one mount. *)
+let test_prefix_per_credentials () =
+  let _, root, t1, t2 = mk_secure_rcache () in
+  Fs.mkdir root ~perm:0o777 "/t";
+  Fs.mkdir t1 ~perm:0o777 "/t/p";
+  Fs.mkdir t1 ~perm:0o777 "/t/p/q";
+  Fs.create_file t1 ~perm:0o644 "/t/p/q/f";
+  (* owner may traverse, others not *)
+  Fs.chmod t1 "/t/p" 0o700;
+  for _ = 1 to 2 do
+    ignore (Fs.stat t1 "/t/p/q/f");
+    expect_eacces (fun () -> Fs.stat t2 "/t/p/q/f")
+  done;
+  (* the opposite: others may, the owner not *)
+  Fs.chmod t1 "/t/p" 0o007;
+  for _ = 1 to 2 do
+    expect_eacces (fun () -> Fs.stat t1 "/t/p/q/f");
+    open_close t2 "/t/p/q/f"
+  done;
+  (* one mount, the identity carried by each thread *)
+  let ctx tid uid =
+    let thr = Simurgh_sim.Sthread.create tid in
+    Simurgh_sim.Sthread.set_creds thr ~euid:uid ~egid:uid;
+    Simurgh_sim.Machine.ctx (Simurgh_sim.Machine.create ()) thr
+  in
+  let c1 = ctx 1 1000 and c2 = ctx 2 1001 in
+  for _ = 1 to 2 do
+    ignore (Fs.stat ~ctx:c2 root "/t/p/q/f");
+    expect_eacces (fun () -> Fs.stat ~ctx:c1 root "/t/p/q/f");
+    ignore (Fs.stat root "/t/p/q/f")
+  done
 
 (* --- adversarial: crash inside a protected rename ---------------------- *)
 
@@ -523,5 +660,17 @@ let () =
             test_cached_word_follows_renamed_dir;
           Alcotest.test_case "resolve cost is cycle-exact" `Quick
             test_resolve_cost_exact;
+          Alcotest.test_case "prefix: chmod revokes traversal (secure)" `Quick
+            (test_prefix_chmod_revokes ~secure:true);
+          Alcotest.test_case "prefix: chmod revokes traversal (legacy)" `Quick
+            (test_prefix_chmod_revokes ~secure:false);
+          Alcotest.test_case "prefix: renamed intermediate directory" `Quick
+            test_prefix_follows_renamed_dir;
+          Alcotest.test_case "prefix: rmdir and mkdir of the same name" `Quick
+            test_prefix_rmdir_mkdir;
+          Alcotest.test_case "prefix: retargeted symlink" `Quick
+            test_prefix_symlink_retarget;
+          Alcotest.test_case "prefix: per-credential answers" `Quick
+            test_prefix_per_credentials;
         ] );
     ]
