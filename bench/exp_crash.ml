@@ -222,7 +222,7 @@ let media_plane () =
   let fd = Fs.openf fs Types.rdwr "/d/data" in
   ignore (Fs.append fs fd (Bytes.make 4096 'x'));
   let addr = ref 0 in
-  let _, fe = Fs.resolve fs "/d/data" in
+  let _, (fe, _) = Fs.resolve fs "/d/data" in
   (try
      Inode.iter_extents region (Fentry.target region fe) (fun a _ ->
          addr := a;
@@ -240,7 +240,7 @@ let media_plane () =
   Fs.unlink fs "/d/alive";
   (* now poison a metadata line (a file entry's slab slot) and recover *)
   Fs.create_file fs "/d/victim";
-  let _, vfe = Fs.resolve fs "/d/victim" in
+  let _, (vfe, _) = Fs.resolve fs "/d/victim" in
   Region.poison region (vfe - Slab.obj_header) 1;
   let _fs', report = Recovery.mount_after_crash ~euid:0 region in
   (!eio, report.Recovery.quarantined, Check.run region)

@@ -61,47 +61,34 @@ type t = {
 
 type fd = int
 
-let fresh_node t kind perm =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
+let node ~ino ~owner ~nlink ~fanout kind perm =
   {
     ino;
     kind;
     perm;
-    uid = 1000;
-    gid = 1000;
-    nlink = 1;
+    uid = owner;
+    gid = owner;
+    nlink;
     mtime = 0;
     size = 0;
     data = Bytes.create 0;
     symlink_target = "";
-    children = Hashtbl.create 8;
+    children = Hashtbl.create fanout;
     rwsem = Vlock.Rw.create ~site:"vfs-rwsem" ();
     dir_mutex = Vlock.Mutex.create ~site:"vfs-inode-mutex" ();
     staged = 0;
   }
 
+let fresh_node t kind perm =
+  let ino = t.next_ino in
+  t.next_ino <- t.next_ino + 1;
+  node ~ino ~owner:1000 ~nlink:1 ~fanout:8 kind perm
+
 let create ?(region = 0) profile =
   let t =
     {
       profile;
-      root =
-        {
-          ino = 1;
-          kind = Types.Dir;
-          perm = 0o755;
-          uid = 0;
-          gid = 0;
-          nlink = 2;
-          mtime = 0;
-          size = 0;
-          data = Bytes.create 0;
-          symlink_target = "";
-          children = Hashtbl.create 64;
-          rwsem = Vlock.Rw.create ~site:"vfs-rwsem" ();
-          dir_mutex = Vlock.Mutex.create ~site:"vfs-inode-mutex" ();
-          staged = 0;
-        };
+      root = node ~ino:1 ~owner:0 ~nlink:2 ~fanout:64 Types.Dir 0o755;
       dcache = Simurgh_vfs.Dcache.create ();
       rename_mutex = Vlock.Mutex.create ~site:"vfs-rename-mutex" ();
       alloc_lock = Vlock.Spin.create ~site:"fs-alloc" ();
@@ -206,64 +193,41 @@ let alloc_blocks ?ctx t n =
 
 let lookup_child ?ctx t parent comp =
   match Simurgh_vfs.Dcache.lookup ?ctx t.dcache ~parent:parent.ino comp with
-  | Some n -> Some n
-  | None -> (
-      match Hashtbl.find_opt parent.children comp with
-      | Some n ->
-          (* concrete-FS lookup; cost depends on the design *)
-          read_lines ?ctx
-            (t.profile.Profile.lookup_reads (Hashtbl.length parent.children));
-          Simurgh_vfs.Dcache.insert ?ctx t.dcache ~parent:parent.ino comp n;
-          Some n
-      | None ->
-          read_lines ?ctx
-            (t.profile.Profile.lookup_reads (Hashtbl.length parent.children));
-          None)
+  | Some _ as hit -> hit
+  | None ->
+      (* concrete-FS lookup; cost depends on the design *)
+      read_lines ?ctx
+        (t.profile.Profile.lookup_reads (Hashtbl.length parent.children));
+      let found = Hashtbl.find_opt parent.children comp in
+      Option.iter
+        (Simurgh_vfs.Dcache.insert ?ctx t.dcache ~parent:parent.ino comp)
+        found;
+      found
 
-(* the Linux VFS follows up to 40 chained symlinks before ELOOP; the
-   kernel baselines share that limit with Simurgh's resolver *)
-let max_symlink_depth = 40
+(* The namespace as {!Path}'s walker sees it: a hop is a dcache-backed
+   {!lookup_child}; there is no prefix cache. *)
+let walker ?ctx t =
+  {
+    Path.root = (fun () -> t.root);
+    lookup = lookup_child ?ctx t;
+    classify =
+      (fun n ->
+        match n.kind with
+        | Types.Dir -> Path.Dir
+        | Types.Symlink -> Path.Symlink n.symlink_target
+        | Types.File -> Path.Other);
+    enter = Fun.id;
+    entry = Fun.id;
+    prefixes = None;
+  }
 
-let rec resolve_parent ?ctx ?(depth = 0) t path =
-  if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  let parents, final = Path.split_parent path in
-  let rec walk stack node = function
-    | [] -> (node, final)
-    | ".." :: rest -> (
-        match stack with
-        | p :: up -> walk up p rest
-        | [] -> walk [] node rest)
-    | comp :: rest -> (
-        match lookup_child ?ctx t node comp with
-        | None -> Errno.raise_ ENOENT path
-        | Some n -> (
-            match n.kind with
-            | Types.Dir -> walk (node :: stack) n rest
-            | Types.Symlink ->
-                resolve_parent ?ctx ~depth:(depth + 1) t
-                  (n.symlink_target ^ "/"
-                  ^ String.concat "/" (rest @ [ final ]))
-            | Types.File -> Errno.raise_ ENOTDIR path))
-  in
-  walk [] t.root parents
-
-let rec resolve ?ctx ?(follow = true) ?(depth = 0) t path =
-  if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  if Path.split path = [] then t.root
-  else begin
-    let parent, final = resolve_parent ?ctx t path in
-    match lookup_child ?ctx t parent final with
-    | None -> Errno.raise_ ENOENT path
-    | Some n ->
-        if follow && n.kind = Types.Symlink then
-          resolve ?ctx ~follow ~depth:(depth + 1) t n.symlink_target
-        else n
-  end
+let resolve ?ctx ?follow t path =
+  snd (Path.resolve (walker ?ctx t) ?follow path)
 
 (* --- metadata operations --------------------------------------------------- *)
 
 let do_create ?ctx t kind perm path ~target =
-  let parent, final = resolve_parent ?ctx t path in
+  let parent, final = Path.resolve_parent (walker ?ctx t) Path.Create path in
   with_mutex ?ctx parent.dir_mutex (fun () ->
       if Hashtbl.mem parent.children final then Errno.raise_ EEXIST path;
       let n =
@@ -303,19 +267,19 @@ let hardlink ?ctx t ~existing path =
   if n.kind = Types.Dir then Errno.raise_ EISDIR existing;
   ignore (do_create ?ctx t n.kind n.perm path ~target:(Some n))
 
-let do_remove ?ctx t ~must_be_dir path =
-  let parent, final = resolve_parent ?ctx t path in
+let do_remove ?ctx t mutation path =
+  let parent, final = Path.resolve_parent (walker ?ctx t) mutation path in
   with_mutex ?ctx parent.dir_mutex (fun () ->
       match Hashtbl.find_opt parent.children final with
       | None -> Errno.raise_ ENOENT path
       | Some n ->
-          (match (must_be_dir, n.kind) with
-          | true, Types.Dir ->
+          (match (mutation, n.kind) with
+          | Path.Rmdir, Types.Dir ->
               if Hashtbl.length n.children > 0 then
                 Errno.raise_ ENOTEMPTY path
-          | true, _ -> Errno.raise_ ENOTDIR path
-          | false, Types.Dir -> Errno.raise_ EISDIR path
-          | false, _ -> ());
+          | Path.Rmdir, _ -> Errno.raise_ ENOTDIR path
+          | _, Types.Dir -> Errno.raise_ EISDIR path
+          | _ -> ());
           (* dentry-cache update cost on every unlink (paper Section 5.2:
              "constant updates to the dentry cache lead to the poor
              performance of kernel level file systems") *)
@@ -337,11 +301,11 @@ let do_remove ?ctx t ~must_be_dir path =
 
 let unlink ?ctx t path =
   syscall ?ctx t;
-  do_remove ?ctx t ~must_be_dir:false path
+  do_remove ?ctx t Path.Unlink path
 
 let rmdir ?ctx t path =
   syscall ?ctx t;
-  do_remove ?ctx t ~must_be_dir:true path
+  do_remove ?ctx t Path.Rmdir path
 
 (* POSIX ancestry check (the VFS's lock_rename ancestor walk): renaming
    a directory into its own subtree must fail EINVAL. *)
@@ -354,8 +318,8 @@ let rec in_subtree root node =
 
 let rename ?ctx t old_path new_path =
   syscall ?ctx t;
-  let sp, sn = resolve_parent ?ctx t old_path in
-  let dp, dn = resolve_parent ?ctx t new_path in
+  let sp, sn = Path.resolve_parent (walker ?ctx t) Path.Rename old_path in
+  let dp, dn = Path.resolve_parent (walker ?ctx t) Path.Rename new_path in
   if sp.ino = dp.ino && String.equal sn dn then begin
     (* POSIX: renaming a name to itself succeeds and changes nothing *)
     if not (Hashtbl.mem sp.children sn) then Errno.raise_ ENOENT old_path
@@ -448,7 +412,6 @@ let openf ?ctx t (flags : Types.open_flags) path =
         n
     | exception Errno.Err (ENOENT, _) when flags.Types.create ->
         do_create ?ctx t Types.File 0o644 path ~target:None
-    | exception e -> raise e
   in
   if n.kind = Types.Dir then Errno.raise_ EISDIR path;
   if flags.Types.trunc then begin

@@ -582,10 +582,6 @@ let check_perm_fe ?ctx ?word t fe ~want =
    word the permission check reads from the fentry). *)
 type dirref = { dfentry : int; dhead : int; word : int option }
 
-let root_dirref t =
-  let fe = Layout.root_fentry t.layout in
-  { dfentry = fe; dhead = Fentry.dirblock t.region fe; word = None }
-
 let check_perm_dir ?ctx t (d : dirref) ~want =
   check_perm_fe ?ctx ?word:d.word t d.dfentry ~want
 
@@ -606,112 +602,18 @@ let dir_lookup ?ctx t (d : dirref) comp =
   Charge.cpu ?ctx 40.0 (* name hash + compare *);
   found
 
+(* The owner word of [fe] for the resolve cache (0 on legacy media):
+   callers have just scanned or stamped that line, so it is free. *)
+let cached_word t fe = if t.secure then Fentry.owner_word t.region fe else 0
+
 (* Warm the resolve cache with [name] -> [fe] under [d], together with
-   the owner word of [fe]: the caller has just scanned or stamped that
-   line, so reading the word charges nothing. *)
+   the owner word of [fe]. *)
 let rcache_insert t (d : dirref) name fe =
   match t.rcache with
   | None -> ()
-  | Some rc ->
-      let word = if t.secure then Fentry.owner_word t.region fe else 0 in
-      Rcache.insert rc ~dir:d.dhead name ~word fe
+  | Some rc -> Rcache.insert rc ~dir:d.dhead name ~word:(cached_word t fe) fe
 
-(* Resolution-path lookup: consult the resolve cache first (one DRAM
-   probe on a hit instead of an NVMM row scan), fall back to the row
-   scan and warm the cache.  Returns the file entry and, on a hit, the
-   owner word the probe delivered.  Mutating paths keep calling
-   {!dir_lookup} directly — they must observe the rows, not the cache. *)
-let dir_lookup_fe ?ctx t (d : dirref) comp =
-  let hit =
-    match t.rcache with
-    | None -> None
-    | Some rc -> Rcache.lookup rc ~dir:d.dhead comp
-  in
-  match hit with
-  | Some (fe, word) ->
-      Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.rcache_hit_cycles;
-      Some (fe, Some word)
-  | None -> (
-      match dir_lookup ?ctx t d comp with
-      | None -> None
-      | Some (_, _, _, fe) ->
-          rcache_insert t d comp fe;
-          Some (fe, None))
-
-(* Linux resolves up to 40 chained symlinks before ELOOP (the historical
-   8 matched only POSIX's SYMLOOP_MAX floor and rejected chains real
-   applications produce). *)
-let max_symlink_depth = 40
-
-(* Resolve the parent directory of [path]; returns the dirref and the
-   final component name.  Follows symlinks in intermediate components.
-
-   With the resolve cache on, a path with parents and no [..] first
-   probes the prefix entry of its canonical parent path under the
-   caller's credentials: a hit is the parent directory and its owner
-   word in one DRAM probe, with no per-hop traverse check (the entry
-   certifies that these credentials passed every one).  A miss walks
-   the components and, when the walk followed no symlink, records the
-   prefix. *)
-let rec resolve_parent ?ctx ?(depth = 0) t path =
-  if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  let parents, final = Path.split_parent path in
-  (* [Left d]: the components led to directory [d]; [Right r]: a symlink
-     redirected the walk and its target resolved to [r] *)
-  let rec walk (stack : dirref list) (d : dirref) = function
-    | [] -> Either.Left d
-    | ".." :: rest -> (
-        match stack with
-        | parent :: up -> walk up parent rest
-        | [] -> walk [] d rest (* root/.. = root *))
-    | comp :: rest -> (
-        check_perm_dir ?ctx t d ~want:1;
-        match dir_lookup_fe ?ctx t d comp with
-        | None -> Errno.raise_ ENOENT path
-        | Some (fe, word) ->
-            if Fentry.is_dir t.region fe then
-              walk (d :: stack)
-                { dfentry = fe; dhead = Fentry.dirblock t.region fe; word }
-                rest
-            else if Fentry.is_symlink t.region fe then begin
-              let target = read_symlink_target t fe in
-              let joined =
-                target ^ "/" ^ String.concat "/" (rest @ [ final ])
-              in
-              Either.Right (resolve_parent ?ctx ~depth:(depth + 1) t joined)
-            end
-            else Errno.raise_ ENOTDIR path)
-  in
-  (* [record d] runs only for a walk that reached [d] through no symlink *)
-  let walk_from_root ~record =
-    match walk [] (root_dirref t) parents with
-    | Either.Left d ->
-        record d;
-        (d, final)
-    | Either.Right r -> r
-  in
-  match t.rcache with
-  | Some rc when parents <> [] && not (List.mem ".." parents) -> (
-      let euid, egid = creds ?ctx t in
-      let prefix = String.concat "/" parents in
-      match Rcache.lookup_prefix rc ~euid ~egid prefix with
-      | Some (fe, word) ->
-          Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.rcache_hit_cycles;
-          let dhead = Fentry.dirblock t.region fe in
-          ({ dfentry = fe; dhead; word = Some word }, final)
-      | None ->
-          walk_from_root ~record:(fun d ->
-              let word =
-                match d.word with
-                | Some w -> w
-                | None ->
-                    if t.secure then Fentry.owner_word t.region d.dfentry
-                    else 0
-              in
-              Rcache.insert_prefix rc ~euid ~egid prefix ~word d.dfentry))
-  | _ -> walk_from_root ~record:ignore
-
-and read_symlink_target t fe =
+let read_symlink_target t fe =
   let inode = Fentry.target t.region fe in
   let len = Inode.size t.region inode in
   let buf = Buffer.create len in
@@ -724,28 +626,73 @@ and read_symlink_target t fe =
       end);
   Buffer.contents buf
 
-(* Resolve a full path to its parent, its file entry and the owner word
-   a resolve-cache hit delivered for that entry (see {!dirref});
-   [follow] resolves a final symlink component. *)
-let rec resolve_word ?ctx ?(follow = true) ?(depth = 0) t path =
-  if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  if Path.split path = [] then (* the root itself *)
-    (root_dirref t, Layout.root_fentry t.layout, None)
-  else begin
-    let d, final = resolve_parent ?ctx t path in
-    check_perm_dir ?ctx t d ~want:1;
-    match dir_lookup_fe ?ctx t d final with
-    | None -> Errno.raise_ ENOENT path
-    | Some (fe, word) ->
-        if follow && Fentry.is_symlink t.region fe then
-          resolve_word ?ctx ~follow ~depth:(depth + 1) t
-            (read_symlink_target t fe)
-        else (d, fe, word)
-  end
+let rcache_hit ?ctx () =
+  Charge.cpu ?ctx (cmodel ctx).Simurgh_sim.Cost_model.rcache_hit_cycles
 
-let resolve ?ctx ?follow t path =
-  let d, fe, _ = resolve_word ?ctx ?follow t path in
-  (d, fe)
+(* The volume as {!Path}'s walker sees it.  An entry is a fentry and the
+   owner word a resolve-cache hit delivered with it.  A hop checks
+   traverse permission and consults the resolve cache (one DRAM probe
+   instead of an NVMM row scan), falling back to the row scan and
+   warming the cache; mutations call {!dir_lookup}, as they must observe
+   the rows.  Prefix entries are keyed by the caller's credentials too:
+   a hit is the parent and its owner word in one probe, with no per-hop
+   traverse check (the entry certifies these credentials passed each). *)
+let walker ?ctx t =
+  let dir fe word =
+    { dfentry = fe; dhead = Fentry.dirblock t.region fe; word }
+  in
+  let lookup d comp =
+    check_perm_dir ?ctx t d ~want:1;
+    let hit =
+      match t.rcache with
+      | None -> None
+      | Some rc -> Rcache.lookup rc ~dir:d.dhead comp
+    in
+    match hit with
+    | Some (fe, word) ->
+        rcache_hit ?ctx ();
+        Some (fe, Some word)
+    | None -> (
+        match dir_lookup ?ctx t d comp with
+        | None -> None
+        | Some (_, _, _, fe) ->
+            rcache_insert t d comp fe;
+            Some (fe, None))
+  in
+  let prefixes rc =
+    let find prefix =
+      let euid, egid = creds ?ctx t in
+      Rcache.lookup_prefix rc ~euid ~egid prefix
+      |> Option.map (fun (fe, word) -> rcache_hit ?ctx (); dir fe (Some word))
+    and add prefix d =
+      let euid, egid = creds ?ctx t in
+      let word =
+        match d.word with Some w -> w | None -> cached_word t d.dfentry
+      in
+      Rcache.insert_prefix rc ~euid ~egid prefix ~word d.dfentry
+    in
+    (find, add)
+  in
+  {
+    Path.root = (fun () -> dir (Layout.root_fentry t.layout) None);
+    lookup;
+    classify =
+      (fun (fe, _) ->
+        let flags = Fentry.flags t.region fe in
+        if flags land Fentry.fl_dir <> 0 then Path.Dir
+        else if flags land Fentry.fl_symlink <> 0 then
+          Path.Symlink (read_symlink_target t fe)
+        else Path.Other);
+    enter = (fun (fe, word) -> dir fe word);
+    entry = (fun d -> (d.dfentry, d.word));
+    prefixes = Option.map prefixes t.rcache;
+  }
+
+(* {!Path.resolve_parent} and {!Path.resolve} over this volume *)
+let resolve_parent ?ctx t mutation path =
+  Path.resolve_parent (walker ?ctx t) mutation path
+
+let resolve ?ctx ?follow t path = Path.resolve (walker ?ctx t) ?follow path
 
 (* --- row locking --------------------------------------------------------- *)
 
@@ -1048,7 +995,7 @@ let create_file ?ctx t ?(perm = 0o644) path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_create @@ fun w ->
-  let d, n = resolve_parent ?ctx t path in
+  let d, n = resolve_parent ?ctx t Path.Create path in
   ignore
     (create_at ?ctx t w d ~name:n ~kind:Inode.File ~perm ~target_inode:None)
 
@@ -1056,14 +1003,14 @@ let mkdir ?ctx t ?(perm = 0o755) path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_mkdir @@ fun w ->
-  let d, n = resolve_parent ?ctx t path in
+  let d, n = resolve_parent ?ctx t Path.Create path in
   ignore (create_at ?ctx t w d ~name:n ~kind:Inode.Dir ~perm ~target_inode:None)
 
 let symlink ?ctx t ~target path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_symlink @@ fun w ->
-  let d, n = resolve_parent ?ctx t path in
+  let d, n = resolve_parent ?ctx t Path.Create path in
   let fe =
     create_at ?ctx t w d ~name:n ~kind:Inode.Symlink ~perm:0o777
       ~target_inode:None
@@ -1093,10 +1040,10 @@ let hardlink ?ctx t ~existing path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_hardlink @@ fun w ->
-  let _, fe = resolve ?ctx t existing in
+  let _, (fe, _) = resolve ?ctx t existing in
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR existing;
   let inode = Fentry.target t.region fe in
-  let d, n = resolve_parent ?ctx t path in
+  let d, n = resolve_parent ?ctx t Path.Create path in
   ignore
     (create_at ?ctx t w d ~name:n ~kind:Inode.File ~perm:0
        ~target_inode:(Some inode))
@@ -1700,14 +1647,14 @@ let unlink ?ctx t path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_unlink @@ fun w ->
-  let d, n = resolve_parent ?ctx t path in
+  let d, n = resolve_parent ?ctx t Path.Unlink path in
   remove_entry ?ctx t w d ~name:n ~check_dir:`Must_not_be_dir
 
 let rmdir ?ctx t path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_rmdir @@ fun w ->
-  let d, n = resolve_parent ?ctx t path in
+  let d, n = resolve_parent ?ctx t Path.Rmdir path in
   remove_entry ?ctx t w d ~name:n ~check_dir:`Must_be_dir
 
 (* --- rename (Fig. 5c / cross-directory) ----------------------------------- *)
@@ -1884,8 +1831,8 @@ let rename ?ctx t old_path new_path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_rename @@ fun w ->
-  let ds, old_n = resolve_parent ?ctx t old_path in
-  let dd, new_n = resolve_parent ?ctx t new_path in
+  let ds, old_n = resolve_parent ?ctx t Path.Rename old_path in
+  let dd, new_n = resolve_parent ?ctx t Path.Rename new_path in
   if ds.dhead = dd.dhead && String.equal old_n new_n then begin
     (* POSIX: renaming a file to itself succeeds and changes nothing *)
     match dir_lookup ?ctx t ds old_n with
@@ -1932,7 +1879,7 @@ let stat ?ctx t path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_stat @@ fun _w ->
-  let _, fe = resolve ?ctx t path in
+  let _, (fe, _) = resolve ?ctx t path in
   Charge.read_lines ?ctx 2;
   stat_of_inode t (Fentry.target t.region fe)
 
@@ -1949,16 +1896,15 @@ let openf ?ctx t (flags : Types.open_flags) path =
   media_guard t @@ fun () ->
   t.penv.g_open @@ fun w ->
   let fe, word =
-    match resolve_word ?ctx t path with
-    | _, fe, word ->
+    match resolve ?ctx t path with
+    | _, (fe, word) ->
         if flags.Types.excl && flags.Types.create then Errno.raise_ EEXIST path;
         (fe, word)
     | exception Errno.Err (ENOENT, _) when flags.Types.create ->
-        let d, n = resolve_parent ?ctx t path in
+        let d, n = resolve_parent ?ctx t Path.Create path in
         ( create_at ?ctx t w d ~name:n ~kind:Inode.File ~perm:0o644
             ~target_inode:None,
           None )
-    | exception e -> raise e
   in
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
@@ -2073,7 +2019,7 @@ let truncate ?ctx t path len =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_truncate @@ fun w ->
-  let _, fe, word = resolve_word ?ctx t path in
+  let _, (fe, word) = resolve ?ctx t path in
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
   check_perm_fe ?ctx ?word t fe ~want:2;
@@ -2083,7 +2029,7 @@ let readdir ?ctx t path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_readdir @@ fun _w ->
-  let _, fe, word = resolve_word ?ctx t path in
+  let _, (fe, word) = resolve ?ctx t path in
   if not (Fentry.is_dir t.region fe) then Errno.raise_ ENOTDIR path;
   check_perm_fe ?ctx ?word t fe ~want:4;
   let head = Fentry.dirblock t.region fe in
@@ -2099,7 +2045,7 @@ let readlink ?ctx t path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_readlink @@ fun _w ->
-  let _, fe = resolve ?ctx ~follow:false t path in
+  let _, (fe, _) = resolve ?ctx ~follow:false t path in
   if not (Fentry.is_symlink t.region fe) then Errno.raise_ EINVAL path;
   Charge.read_lines ?ctx 2;
   read_symlink_target t fe
@@ -2131,7 +2077,7 @@ let chmod ?ctx t path perm =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_chmod @@ fun _w ->
-  let d, fe = resolve ?ctx t path in
+  let d, (fe, _) = resolve ?ctx t path in
   let inode = Fentry.target t.region fe in
   let euid, _ = creds ?ctx t in
   let owner_uid =
@@ -2164,7 +2110,7 @@ let utimes ?ctx t path mtime =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_utimes @@ fun _w ->
-  let _, fe = resolve ?ctx t path in
+  let _, (fe, _) = resolve ?ctx t path in
   let inode = Fentry.target t.region fe in
   Inode.set_mtime t.region inode mtime;
   Region.persist t.region (Inode.f_mtime inode) 8;

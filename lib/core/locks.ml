@@ -38,17 +38,21 @@ type file_state = {
     (under the file's extent lock — registry code must not take locks,
     so it cannot read the size itself without racing a publisher). *)
 
+(** A directory's locks of one kind, keyed by row or slot. *)
+type dir_locks = (int, Vlock.Spin.t) Hashtbl.t
+
 type stripe = {
-  row_locks : (int * int, Vlock.Spin.t) Hashtbl.t;
-      (** (first dir block, row) -> spin lock *)
+  row_locks : (int, dir_locks) Hashtbl.t;
+      (** first dir block -> (row -> spin lock), in the directory's
+          stripe, so dropping a directory's locks is one remove *)
   file_locks : (int, Vlock.Rw.t) Hashtbl.t;  (** inode pptr -> rwlock *)
-  append_locks : (int * int, Vlock.Spin.t) Hashtbl.t;
-      (** (first dir block, row) -> append lock; legacy mode keys
+  append_locks : (int, dir_locks) Hashtbl.t;
+      (** first dir block -> (row -> append lock); legacy mode keys
           everything under row 0 (one chain-extension lock per dir) *)
-  aux_locks : (int * int, Vlock.Spin.t) Hashtbl.t;
-      (** striped mode only: (dir, 0) = chain-link lock,
-          (dir, 1) = rename-log lock (legacy single slot),
-          (dir, 2 + s) = lock of rename-log ring slot [s] *)
+  aux_locks : (int, dir_locks) Hashtbl.t;
+      (** striped mode only: dir -> (0 = chain-link lock,
+          1 = rename-log lock (legacy single slot),
+          2 + s = lock of rename-log ring slot [s]) *)
   range_locks : (int, (int, Vlock.Rw.t) Hashtbl.t) Hashtbl.t;
       (** range-lock mode: inode pptr -> (byte row -> rwlock), in the
           inode's stripe, so dropping a file's rows is one remove *)
@@ -146,10 +150,16 @@ let find_or_create tbl key make =
       Hashtbl.replace tbl key l;
       l
 
+(* Lock [key] of directory [dir] in [table] (one of the [dir_locks]
+   tables of [dir]'s stripe), created on first use. *)
+let dir_lock t table ~dir key ~site =
+  let locks =
+    find_or_create (table (stripe_of t dir)) dir (fun () -> Hashtbl.create 8)
+  in
+  find_or_create locks key (fun () -> Vlock.Spin.create ~site ())
+
 let row_lock t ~dir ~row =
-  let key = (dir, row) in
-  find_or_create (stripe_of t key).row_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-row" ())
+  dir_lock t (fun s -> s.row_locks) ~dir row ~site:"dir-row"
 
 let file_lock t inode =
   find_or_create (stripe_of t inode).file_locks inode (fun () ->
@@ -214,32 +224,25 @@ let file_state t inode =
     [dir].  Legacy mode: one lock for the whole directory (every row-full
     insert funnels through it).  Striped mode: one lock per hash row. *)
 let dir_append_lock ?(row = 0) t dir =
-  let key = (dir, if t.striped then row else 0) in
-  find_or_create (stripe_of t key).append_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-append" ())
+  let row = if t.striped then row else 0 in
+  dir_lock t (fun s -> s.append_locks) ~dir row ~site:"dir-append"
 
 (** Striped mode: short directory-global lock held only while physically
     linking a freshly initialized hash block into the chain. *)
 let chain_lock t dir =
-  let key = (dir, 0) in
-  find_or_create (stripe_of t key).aux_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-chain" ())
+  dir_lock t (fun s -> s.aux_locks) ~dir 0 ~site:"dir-chain"
 
 (** Striped mode: serializes the directory's single persistent
     rename-log entry (the first hash block has exactly one log slot). *)
 let log_lock t dir =
-  let key = (dir, 1) in
-  find_or_create (stripe_of t key).aux_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-log" ())
+  dir_lock t (fun s -> s.aux_locks) ~dir 1 ~site:"dir-log"
 
 (** Log-ring mode: lock of ring slot [slot] of directory [dir].  Each
     slot has its own lock, so N renames in one directory can run their
     Fig. 5 log windows concurrently — the directory-global (dir, 1)
     serialization point disappears. *)
 let log_slot_lock t dir ~slot =
-  let key = (dir, 2 + slot) in
-  find_or_create (stripe_of t key).aux_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-log" ())
+  dir_lock t (fun s -> s.aux_locks) ~dir (2 + slot) ~site:"dir-log"
 
 let drop_file_lock t inode =
   let s = stripe_of t inode in
@@ -254,29 +257,23 @@ let drop_file_lock t inode =
     create/remove-heavy workload leaked one spin lock per touched hash
     row forever. *)
 let drop_dir_locks t ~dir =
-  let drop_keyed tbl =
-    let doomed =
-      Hashtbl.fold
-        (fun ((d, _) as key) _ acc -> if d = dir then key :: acc else acc)
-        tbl []
-    in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  Array.iter
-    (fun s ->
-      drop_keyed s.row_locks;
-      drop_keyed s.append_locks;
-      drop_keyed s.aux_locks)
-    t.stripes
+  let s = stripe_of t dir in
+  Hashtbl.remove s.row_locks dir;
+  Hashtbl.remove s.append_locks dir;
+  Hashtbl.remove s.aux_locks dir
+
+(* The number of locks in a table of per-key tables. *)
+let nested_length tbl =
+  Hashtbl.fold (fun _ inner n -> n + Hashtbl.length inner) tbl 0
 
 (** Registry sizes (row, file, dir-append incl. chain/log) — reported
     through the observability snapshot so leaks are visible. *)
 let sizes t =
   Array.fold_left
     (fun (r, f, a) s ->
-      ( r + Hashtbl.length s.row_locks,
+      ( r + nested_length s.row_locks,
         f + Hashtbl.length s.file_locks,
-        a + Hashtbl.length s.append_locks + Hashtbl.length s.aux_locks ))
+        a + nested_length s.append_locks + nested_length s.aux_locks ))
     (0, 0, 0) t.stripes
 
 (** Range-mode registry sizes (byte-range rows, extent locks + append
@@ -284,6 +281,6 @@ let sizes t =
 let range_sizes t =
   Array.fold_left
     (fun (r, e) s ->
-      ( Hashtbl.fold (fun _ rows n -> n + Hashtbl.length rows) s.range_locks r,
+      ( r + nested_length s.range_locks,
         e + Hashtbl.length s.extent_locks + Hashtbl.length s.file_states ))
     (0, 0) t.stripes

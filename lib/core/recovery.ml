@@ -1065,7 +1065,7 @@ let mount_auto ?call_mode ?euid ?egid region =
 let repair_directory fs dirpath =
   let region = Fs.region fs in
   let layout = Fs.layout fs in
-  let _, fe = Fs.resolve fs dirpath in
+  let _, (fe, _) = Fs.resolve fs dirpath in
   let head = Fentry.dirblock region fe in
   let repaired = ref 0 in
   (* every pending log slot of this directory, in epoch order (the ring

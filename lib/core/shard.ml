@@ -44,12 +44,7 @@ let regions t = t.regions
 
 (* first path component, or [None] for the root itself *)
 let top_component path =
-  let n = String.length path in
-  let i = ref 0 in
-  while !i < n && path.[!i] = '/' do incr i done;
-  let j = ref !i in
-  while !j < n && path.[!j] <> '/' do incr j done;
-  if !i = !j then None else Some (String.sub path !i (!j - !i))
+  match Path.split path with c :: _ -> Some c | [] -> None
 
 (** Home region of a path: the hash of its top-level component (the
     root itself lives on region 0). *)

@@ -407,6 +407,100 @@ struct
       ((F.stat fs "/l40").Types.kind = Types.File);
     expect_err Errno.ELOOP (fun () -> F.stat fs "/l41")
 
+  (* --- relative symlinks and a final [..] --------------------------- *)
+
+  (* /a/b/f holds 5 bytes, /b/f is empty: a relative target resolved
+     from the root instead of the link's directory lands on /b/f *)
+  let rel_fixture () =
+    let fs = Fresh.fresh () in
+    F.mkdir fs "/a";
+    F.mkdir fs "/a/b";
+    F.mkdir fs "/a/c";
+    F.mkdir fs "/b";
+    F.create_file fs "/a/b/f";
+    let fd = F.openf fs Types.wronly "/a/b/f" in
+    ignore (F.append fs fd (Bytes.of_string "abcde"));
+    F.close fs fd;
+    F.create_file fs "/b/f";
+    fs
+
+  (* each lookup runs twice: cold, then through whatever the first one
+     cached *)
+  let check_size fs path want =
+    for _ = 1 to 2 do
+      Alcotest.(check int) path want (F.stat fs path).Types.size
+    done
+
+  let test_symlink_relative_intermediate () =
+    let fs = rel_fixture () in
+    F.symlink fs ~target:"b" "/a/l";
+    check_size fs "/a/l/f" 5;
+    F.create_file fs "/a/l/g";
+    Alcotest.(check bool) "created through the link" true
+      (F.exists fs "/a/b/g")
+
+  let test_symlink_relative_final () =
+    let fs = rel_fixture () in
+    F.symlink fs ~target:"b/f" "/a/lf";
+    check_size fs "/a/lf" 5;
+    Alcotest.(check string) "readlink" "b/f" (F.readlink fs "/a/lf")
+
+  let test_symlink_relative_dotdot () =
+    let fs = rel_fixture () in
+    F.symlink fs ~target:"../b/f" "/a/c/up";
+    F.symlink fs ~target:"../b" "/a/c/updir";
+    F.symlink fs ~target:"updir/../../a/b" "/a/c/zigzag";
+    check_size fs "/a/c/up" 5;
+    check_size fs "/a/c/updir/f" 5;
+    check_size fs "/a/c/zigzag/f" 5;
+    check_size fs "/a/c/updir/../b/f" 5
+
+  (* the 40-link budget holds for relative chains too: each link names
+     its neighbour in the same directory *)
+  let test_symlink_relative_chain_depth () =
+    let fs = rel_fixture () in
+    F.symlink fs ~target:"b/f" "/a/l1";
+    for i = 2 to 41 do
+      F.symlink fs
+        ~target:(Printf.sprintf "l%d" (i - 1))
+        (Printf.sprintf "/a/l%d" i)
+    done;
+    check_size fs "/a/l40" 5;
+    expect_err Errno.ELOOP (fun () -> F.stat fs "/a/l41")
+
+  let test_final_dotdot_lookup () =
+    let fs = rel_fixture () in
+    let ino p = (F.stat fs p).Types.ino in
+    for _ = 1 to 2 do
+      Alcotest.(check int) "/a/b/.. is /a" (ino "/a") (ino "/a/b/..");
+      Alcotest.(check int) "/a/.. is /" (ino "/") (ino "/a/..");
+      Alcotest.(check int) "/.. is /" (ino "/") (ino "/..")
+    done;
+    Alcotest.(check bool) "a directory" true
+      ((F.stat fs "/a/b/..").Types.kind = Types.Dir);
+    Alcotest.(check bool) "exists" true (F.exists fs "/a/b/..");
+    Alcotest.(check (list string)) "readdir" [ "b"; "c" ]
+      (List.sort compare (F.readdir fs "/a/c/../b/.."));
+    F.symlink fs ~target:".." "/a/c/parent";
+    Alcotest.(check int) "a link to .." (ino "/a") (ino "/a/c/parent")
+
+  let test_final_dotdot_mutations () =
+    let fs = rel_fixture () in
+    expect_err Errno.EEXIST (fun () -> F.create_file fs "/a/..");
+    expect_err Errno.EEXIST (fun () -> F.mkdir fs "/a/b/..");
+    expect_err Errno.EEXIST (fun () -> F.symlink fs ~target:"b" "/a/..");
+    expect_err Errno.EEXIST (fun () ->
+        F.hardlink fs ~existing:"/a/b/f" "/a/b/..");
+    expect_err Errno.EISDIR (fun () -> F.unlink fs "/a/b/..");
+    expect_err Errno.ENOTEMPTY (fun () -> F.rmdir fs "/a/c/..");
+    expect_err Errno.EINVAL (fun () -> F.rename fs "/a/c/.." "/x");
+    expect_err Errno.EINVAL (fun () -> F.rename fs "/b/f" "/a/c/..");
+    (* a missing parent is still reported first *)
+    expect_err Errno.ENOENT (fun () -> F.mkdir fs "/nope/..");
+    Alcotest.(check (list string)) "no literal .. entry" [ "b"; "c" ]
+      (List.sort compare (F.readdir fs "/a"));
+    Alcotest.(check (list string)) "nothing moved" [ "f" ] (F.readdir fs "/b")
+
   let test_fsync_noop_ok () =
     let fs = Fresh.fresh () in
     F.create_file fs "/f";
@@ -464,5 +558,16 @@ struct
       Alcotest.test_case "dotdot" `Quick test_dotdot;
       Alcotest.test_case "1500 files in a dir" `Quick test_many_files_one_dir;
       Alcotest.test_case "fsync" `Quick test_fsync_noop_ok;
+      Alcotest.test_case "symlink relative intermediate" `Quick
+        test_symlink_relative_intermediate;
+      Alcotest.test_case "symlink relative final" `Quick
+        test_symlink_relative_final;
+      Alcotest.test_case "symlink relative with .." `Quick
+        test_symlink_relative_dotdot;
+      Alcotest.test_case "symlink relative depth-40 boundary" `Quick
+        test_symlink_relative_chain_depth;
+      Alcotest.test_case "final .. lookup" `Quick test_final_dotdot_lookup;
+      Alcotest.test_case "final .. mutations" `Quick
+        test_final_dotdot_mutations;
     ]
 end

@@ -259,7 +259,10 @@ let dop_gen =
     let walk = path (frequency [ (6, comp); (1, return "..") ]) in
     let dperm = oneofl [ 0o777; 0o755; 0o711; 0o700 ] in
     let perm = oneofl [ 0o777; 0o755; 0o711; 0o700; 0o644; 0o070; 0o007; 0 ] in
-    let target = oneofl [ "/a"; "/a/b"; "/b"; "/c/a"; "/a/l"; "missing" ] in
+    let target =
+      oneofl
+        [ "/a"; "/a/b"; "/b"; "/c/a"; "/a/l"; "missing"; "b"; "../b"; "l/a" ]
+    in
     frequency
       [
         (3, map3 (fun c p m -> Dmkdir (c, p, m)) cred plain dperm);

@@ -24,7 +24,7 @@ let fresh () =
 (* Address of the first data extent of [path]. *)
 let first_extent fs path =
   let region = Fs.region fs in
-  let _, fe = Fs.resolve fs path in
+  let _, (fe, _) = Fs.resolve fs path in
   let inode = Fentry.target region fe in
   let addr = ref 0 in
   (try
@@ -93,7 +93,7 @@ let test_quarantine_poisoned_fentry () =
   Fs.create_file fs "/d/sub/inner";
   Fs.create_file fs "/d/x";
   Fs.create_file fs "/d/y";
-  let _, fe = Fs.resolve fs "/d/y" in
+  let _, (fe, _) = Fs.resolve fs "/d/y" in
   (* one poisoned line over the entry's object header *)
   Region.poison region (fe - Slab.obj_header) 1;
   let fs', report = Recovery.mount_after_crash ~euid:0 region in
@@ -117,7 +117,7 @@ let test_quarantine_poisoned_subdir_block () =
   Fs.create_file fs "/d/x";
   Fs.mkdir fs "/d/sub";
   Fs.create_file fs "/d/sub/inner";
-  let _, sfe = Fs.resolve fs "/d/sub" in
+  let _, (sfe, _) = Fs.resolve fs "/d/sub" in
   let head = Fentry.dirblock (Fs.region fs) sfe in
   (* poison the first row line (not the block header) of the child's
      hash block: traversal into the subtree faults *)
@@ -187,7 +187,7 @@ let test_statfs_accounting_after_poisoned_free () =
   let st0 = Fs.statfs fs in
   Alcotest.(check int) "clean media: nothing quarantined" 0
     st0.Fs.quarantined_blocks;
-  let _, fe = Fs.resolve fs "/d/f" in
+  let _, (fe, _) = Fs.resolve fs "/d/f" in
   let inode = Fentry.target region fe in
   let mapped = Fs.mapped_blocks fs inode in
   let addr = first_extent fs "/d/f" in

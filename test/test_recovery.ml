@@ -104,7 +104,7 @@ let test_repair_directory_runtime () =
   (* simulate an interrupted delete: entry valid bit dropped but slot
      still points at it *)
   let layout = Fs.layout fs in
-  let _, fe = Fs.resolve fs "/d/a" in
+  let _, (fe, _) = Fs.resolve fs "/d/a" in
   Slab.begin_free layout.Layout.fentry_slab fe;
   let repaired = Recovery.repair_directory fs "/d" in
   Alcotest.(check bool) "repaired something" true (repaired >= 1);
@@ -146,7 +146,7 @@ let fsck_clean what region =
        (Simurgh_core.Check.run region))
 
 let dir_head fs path =
-  let _, fe = Fs.resolve fs path in
+  let _, (fe, _) = Fs.resolve fs path in
   Simurgh_core.Fentry.dirblock (Fs.region fs) fe
 
 (* Regression: recovery pass 1 must resolve EVERY pending rename log it

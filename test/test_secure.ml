@@ -330,7 +330,7 @@ let test_cached_word_follows_renamed_dir () =
   Fs.rename root "/t/a" "/t/z";
   Fs.rename root "/t/z" "/u/z";
   ignore (Fs.stat t2 "/u/z/b/f");
-  let d, fe = Fs.resolve root "/u/z" in
+  let d, (fe, _) = Fs.resolve root "/u/z" in
   let cached =
     match Fs.rcache_of root with
     | Some rc -> Simurgh_core.Rcache.lookup rc ~dir:d.Fs.dhead "z"
